@@ -2,129 +2,63 @@
  * @file
  * icfp-sim — command-line driver for the simulation library.
  *
- * Subcommands:
- *   list    [--suite S]          show one workload suite's benchmarks
- *   suites                       show the registered workload suites
- *   cores                        show the registered core models
- *   run     --bench B --core C   run one model, print full statistics
- *   compare --bench B            run every model on one benchmark
- *   suite   --core C [--suite S] run one model over a whole suite
- *   sweep   [--benches ...] [--cores ...]  run a (bench × core) grid
- *   merge   [--out F] SHARD...   stitch `sweep --shard` artifacts back
- *                                into the byte-identical unsharded report
- *   perf    [--quick] [--baseline F]  measure simulator throughput over
- *                                one suite's grid; emits BENCH_perf.json
- *   trace   --bench B --save-trace F   generate + save a golden trace
- *   disasm  --bench B [--n N]    print the first N dynamic instructions
- *   version                      sim + registry identity as JSON (the
- *                                service handshake / result-cache blob)
- *   serve   --socket PATH        run the simulation service daemon
- *   submit  --socket PATH [--wait]    submit a sweep job to a daemon
- *   status  --socket PATH [--job N] [--json]   query one job's state,
- *                                or (without --job) the daemon itself:
- *                                queue occupancy and per-peer health
- *   result  --socket PATH --job N     fetch one job's artifact
- *   cancel  --socket PATH --job N     cancel a queued or running job
- *   ping    --socket PATH        handshake + round-trip latency check
- *   metrics --socket PATH [--json]    scrape the daemon's metrics
- *                                registry (Prometheus text exposition,
- *                                or the flat JSON form with --json); on
- *                                a federation coordinator the scrape is
- *                                the fleet rollup — every healthy
- *                                peer's metrics merged in with a
- *                                peer="<spec>" label
+ * Verbs:
+ *   list      show one workload suite's benchmarks
+ *   suites    show the registered workload suites
+ *   cores     show the registered core models
+ *   run       run one model on one benchmark, print full statistics
+ *   compare   run every model on one benchmark
+ *   suite     run one model over a whole suite
+ *   sweep     run a (bench × core) grid; reports are byte-identical for
+ *             any --jobs, and --shard i/N emits one slice of the grid
+ *   merge     stitch `sweep --shard` artifacts back into the
+ *             byte-identical unsharded report
+ *   perf      measure simulator throughput over one suite's grid;
+ *             emits BENCH_perf.json (see sim/perf_harness.hh)
+ *   trace     generate and save a golden trace
+ *   disasm    print the first N dynamic instructions of a trace
+ *   version   sim + registry identity as JSON (the service handshake /
+ *             result-cache blob)
+ *   serve     run the simulation service daemon (service/server.hh);
+ *             with --peers it coordinates a federation
+ *             (service/federation/)
+ *   submit    submit a sweep job to a daemon; the fetched artifact is
+ *             byte-identical to `icfp-sim sweep` with the same options
+ *   status    one job's state, or (without --job) the daemon's own:
+ *             queue occupancy and per-peer health
+ *   result    fetch one job's artifact
+ *   cancel    cancel a queued or running job
+ *   ping      handshake + round-trip latency check
+ *   metrics   scrape the daemon's metrics registry (Prometheus text, or
+ *             flat JSON with --json); a federation coordinator's scrape
+ *             is always the fleet rollup, every healthy peer's metrics
+ *             merged in with a peer="<spec>" label
  *
- * Common options:
- *   --insts N        dynamic instruction budget (default 200000)
- *   --seed S         workload RNG seed override
- *   --suite S        workload suite (list/compare/suite/sweep/perf;
- *                    default spec2000; see `icfp-sim suites`)
- *   --l2-lat N       L2 hit latency in cycles (Figure 6 sweeps)
- *   --mem-lat N      memory latency in cycles
- *   --poison-bits N  iCFP poison-vector width (1..16)
- *   --trigger T      advance trigger: none | l2 | any
- *   --blocking-rally use single blocking rallies (SLTP-style iCFP)
- *   --no-mt-rally    disable multithreaded rally+tail execution
- *   --load-trace F   replay a saved trace instead of generating one
- *   --save-trace F   also save the generated trace
- *
- * Sweep options (compare/suite/sweep run on the parallel sweep engine):
- *   --jobs N         worker threads (default: hardware concurrency).
- *                    Reports are byte-identical for any N.
- *   --benches A,B,C  benchmark subset for sweep (default: all)
- *   --cores X,Y      core-model subset for sweep (default: all)
- *   --format F       sweep output: table | csv | json (default table)
- *   --out FILE       write the sweep report to FILE instead of stdout
- *   --shard i/N      run only shard i of N (1-based); emits a shard
- *                    artifact (csv/json only) for `icfp-sim merge`
- *   --trace-dir DIR  persistent golden-trace store (overrides the
- *                    ICFP_TRACE_DIR environment variable)
- *
- * Service options (see src/service/server.hh):
- *   --socket PATH    Unix-domain socket the daemon serves / clients use
- *   --queue-depth K  serve: max queued+running jobs before `busy` (8)
- *   --jobs N         serve: sweep-engine worker threads
- *   --cache-dir DIR  serve: persistent result-cache directory (the
- *                    crash-safe disk tier; warm repeats survive a
- *                    daemon restart)
- *   --deadline-sec N serve: default per-job wall-clock limit;
- *                    submit: this job's limit (overrides the daemon
- *                    default; 0 = unbounded)
- *   --wait           submit: block until the job finishes and emit the
- *                    artifact (to --out or stdout)
- *   --job N          status/result/cancel: the job id
- *   --timeout SEC    client verbs: per-frame read deadline (0 = wait
- *                    forever; for submit --wait it must exceed the
- *                    expected job time)
- *   --retries N      client verbs: connection retries with exponential
- *                    backoff (daemon restarting / not up yet)
- *   --json           status: dump the raw status frame (machine-
- *                    readable, stable field names)
- *                    metrics: the flat JSON exposition instead of the
- *                    Prometheus text format
- *   --job-trace-dir DIR  serve: publish a Chrome-trace JSON of every
- *                    traced job's phase spans (queue wait, cache probe,
- *                    trace gen, replay, report emit / federation) as
- *                    DIR/job-<id>.trace.json — open in chrome://tracing
- *                    or Perfetto. Observability only: artifacts stay
- *                    byte-identical with tracing on.
- *   --trace          submit: request a per-job trace (errors loudly if
- *                    the daemon has no --job-trace-dir)
- *   submit also honors --suite/--benches/--cores/--insts/--seed and
- *   --format csv|json (default csv); the fetched artifact is
- *   byte-identical to `icfp-sim sweep` with the same options.
- *
- * Federation options (serve only; see src/service/federation/):
- *   --listen-tcp H:P daemon also listens on TCP (port 0 = ephemeral,
- *                    the bound port is logged at startup)
- *   --peers A,B,...  coordinator mode: slice whole-grid submits across
- *                    these peer daemons (host:port or socket paths) and
- *                    merge the shard artifacts byte-identically
- *   --slice-deadline-sec N   straggler deadline per dispatched slice
- *                    (0 = none); an expired slice is re-dispatched
- *
- * Perf options (see sim/perf_harness.hh):
- *   --quick          trimmed grid / budget for CI smoke runs
- *   --reps N         timed repetitions per case (median-of-N, default 3)
- *   --warmup N       untimed repetitions per case (default 1)
- *   --baseline FILE  prior BENCH_perf.json; the emitted artifact then
- *                    records both numbers and the speedup ratio
+ * Which options each verb accepts is the kOptions table below; running
+ * icfp-sim with no arguments prints it per verb. An option a verb does
+ * not read is refused, never ignored.
  *
  * Exit status: 0 on success, 1 on usage errors.
  */
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/logging.hh"
+#include "icfp/poison.hh"
 #include "isa/trace_io.hh"
 #include "service/client.hh"
 #include "service/server.hh"
@@ -142,259 +76,227 @@ namespace {
 
 using namespace icfp;
 
-/** Parsed command line. */
+struct Options;
+struct VerbSpec;
+
+/** The Options member an option sets. */
+using Field = std::variant<bool Options::*, std::string Options::*,
+                           uint64_t Options::*>;
+
+/** Parsed command line. Fields hold defaults until their option is given. */
 struct Options
 {
-    std::string command;
+    const VerbSpec *verb = nullptr;
+    uint64_t seen = 0; ///< bit i set: kOptions[i] was given
+
+    /** Whether the option that sets @p field was given. */
+    bool given(Field field) const;
+
+    /** @p field's value if its option was given. */
+    template <typename T>
+    std::optional<T>
+    ifGiven(T Options::*field) const
+    {
+        return given(field) ? std::optional<T>(this->*field) : std::nullopt;
+    }
+
     std::string bench = "mcf";
-    bool benchSet = false; ///< --bench given explicitly
     std::string core = "icfp";
     std::string suite = kDefaultSuiteName;
-    bool suiteSet = false; ///< --suite given explicitly
     uint64_t insts = kDefaultBenchInsts;
-    bool instsSet = false; ///< --insts given explicitly
-    std::optional<uint64_t> seed;
-    std::optional<Cycle> l2Latency;
-    std::optional<Cycle> memLatency;
-    std::optional<unsigned> poisonBits;
-    std::optional<std::string> trigger;
+    uint64_t seed = 0;
+    uint64_t l2Latency = 0;
+    uint64_t memLatency = 0;
+    uint64_t poisonBits = 0;
+    std::string trigger;
     bool blockingRally = false;
     bool noMtRally = false;
-    std::optional<std::string> loadTrace;
-    std::optional<std::string> saveTrace;
-    unsigned disasmCount = 32;
+    std::string loadTrace;
+    std::string saveTrace;
+    uint64_t disasmCount = 32;
 
     // Sweep-engine options.
-    unsigned jobs = 0; ///< 0 = defaultSweepJobs()
+    uint64_t jobs = 0; ///< given 0 is read as 1; absent = defaultSweepJobs()
     std::string benches = "all";
     std::string cores = "all";
     std::string format = "table";
-    bool formatSet = false; ///< --format given explicitly
-    std::optional<std::string> out;
-    std::optional<ShardSpec> shard;
-    std::optional<std::string> traceDir;
+    std::string out;
+    std::string shard;
+    std::string traceDir;
 
-    // Service options.
+    // Service and federation options.
     std::string socket;
-    size_t queueDepth = 8;
-    bool queueDepthSet = false;
-    bool wait = false;
-    std::optional<uint64_t> jobId;
-    std::optional<std::string> cacheDir;
+    uint64_t queueDepth = 8;
+    std::string cacheDir;
     uint64_t deadlineSec = 0;
-    bool deadlineSecSet = false;
-    unsigned timeoutSec = 0;
-    bool timeoutSet = false;
-    unsigned retries = 0;
-    bool retriesSet = false;
-
-    // Federation options (serve only).
-    std::string peers;     ///< comma list of peer endpoints
     std::string listenTcp; ///< extra TCP listener, "host:port"
+    std::string peers;     ///< comma list of peer endpoints
     uint64_t sliceDeadlineSec = 0;
-    bool sliceDeadlineSet = false;
-    bool statusJson = false; ///< status/metrics --json: machine form
-
-    // Observability options.
-    std::optional<std::string> jobTraceDir; ///< serve --job-trace-dir
-    bool trace = false;                     ///< submit --trace
+    std::string jobTraceDir;
+    bool wait = false;
+    bool trace = false;
+    uint64_t jobId = 0;
+    bool json = false;
+    uint64_t timeoutSec = 0;
+    uint64_t retries = 0;
 
     // Perf options.
     bool quick = false;
-    unsigned perfReps = 3;
-    bool perfRepsSet = false;
-    unsigned perfWarmup = 1;
-    bool perfWarmupSet = false;
-    std::optional<std::string> baseline;
+    uint64_t reps = 3; ///< given 0 is read as 1
+    uint64_t warmup = 1;
+    std::string baseline;
 
-    std::vector<std::string> inputs; ///< positional args (merge shards)
+    std::vector<std::string> inputs; ///< positional operands (merge shards)
 };
 
-void
-usage()
+/** One verb: what runs it and what it cannot run without. */
+struct VerbSpec
 {
-    std::fprintf(stderr,
-                 "usage: icfp-sim "
-                 "<list|suites|cores|run|compare|suite|sweep|merge|perf|"
-                 "trace|disasm|version|serve|submit|status|result|cancel|"
-                 "ping|metrics> [options]\n"
-                 "see the file comment in tools/icfp_sim_main.cc for the "
-                 "option list\n");
+    const char *name;
+    uint32_t bit;
+    int (*run)(const Options &);
+    std::vector<Field> required = {};
+    const char *operands = nullptr; ///< positional operands, if it takes any
+};
+
+// Verbs as bits, so one option row names every verb that reads it.
+constexpr uint32_t kList = 1u << 0, kSuites = 1u << 1, kCores = 1u << 2,
+                   kRun = 1u << 3, kCompare = 1u << 4, kSuite = 1u << 5,
+                   kSweep = 1u << 6, kMerge = 1u << 7, kPerf = 1u << 8,
+                   kTrace = 1u << 9, kDisasm = 1u << 10, kVersion = 1u << 11,
+                   kServe = 1u << 12, kSubmit = 1u << 13, kStatus = 1u << 14,
+                   kResult = 1u << 15, kCancel = 1u << 16, kPing = 1u << 17,
+                   kMetrics = 1u << 18;
+/** Verbs that build (or load) one golden trace via makeTrace(). */
+constexpr uint32_t kOneTrace = kRun | kCompare | kTrace | kDisasm;
+/** Verbs that run on the parallel sweep engine. */
+constexpr uint32_t kEngine = kCompare | kSuite | kSweep;
+/** Verbs that apply the SimConfig overrides (makeConfig()). */
+constexpr uint32_t kConfigured = kRun | kEngine;
+constexpr uint32_t kClient =
+    kSubmit | kStatus | kResult | kCancel | kPing | kMetrics;
+constexpr uint32_t kService = kServe | kClient;
+
+/** How an option's value is checked before it is stored. */
+enum class Kind
+{
+    Flag, ///< takes no value
+    Text, ///< any string
+    Path, ///< non-empty: an empty one (an unset shell variable) would
+          ///< scatter files into the CWD or name no endpoint
+    Uint, ///< a whole unsigned integer within [lo, hi]
+    Enum, ///< one of the '|'-separated words in meta
+};
+
+constexpr uint64_t kU32 = UINT32_MAX; ///< for values read as `unsigned`
+constexpr uint64_t kU64 = UINT64_MAX;
+
+/** One command-line option: the only place its verbs are listed. */
+struct OptionSpec
+{
+    const char *name;
+    Kind kind;
+    Field field;
+    uint32_t verbs;        ///< the verbs whose cmd* function reads it
+    const char *meta = ""; ///< usage() placeholder; Enum: the accepted words
+    uint64_t lo = 0;       ///< Uint range
+    uint64_t hi = kU64;
+    /** Why a service verb refuses it, beyond which verbs accept it. */
+    const char *serviceWhy = nullptr;
+};
+
+// The daemon runs every variant at Table 1 defaults; accepting a config
+// override and ignoring it would return silently wrong data under the
+// submit==sweep byte-identity promise.
+constexpr const char *kNoOverrides =
+    "config overrides are not supported over the service; use 'sweep'";
+
+const OptionSpec kOptions[] = {
+    {"--bench", Kind::Text, &Options::bench, kOneTrace, "B"},
+    {"--core", Kind::Text, &Options::core, kRun | kSuite, "C"},
+    {"--suite", Kind::Text, &Options::suite,
+     kList | kEngine | kPerf | kSubmit, "S"},
+    {"--insts", Kind::Uint, &Options::insts,
+     kOneTrace | kEngine | kPerf | kSubmit, "N"},
+    {"--seed", Kind::Uint, &Options::seed, kOneTrace | kEngine | kSubmit,
+     "S"},
+    {"--l2-lat", Kind::Uint, &Options::l2Latency, kConfigured, "N", 0, kU64,
+     kNoOverrides},
+    {"--mem-lat", Kind::Uint, &Options::memLatency, kConfigured, "N", 0,
+     kU64, kNoOverrides},
+    {"--poison-bits", Kind::Uint, &Options::poisonBits, kConfigured, "N", 1,
+     kMaxPoisonBits, kNoOverrides},
+    {"--trigger", Kind::Enum, &Options::trigger, kConfigured, "none|l2|any",
+     0, 0, kNoOverrides},
+    {"--blocking-rally", Kind::Flag, &Options::blockingRally, kConfigured,
+     "", 0, 0, kNoOverrides},
+    {"--no-mt-rally", Kind::Flag, &Options::noMtRally, kConfigured, "", 0,
+     0, kNoOverrides},
+    // `trace` with a loaded trace would never write its --save-trace.
+    {"--load-trace", Kind::Path, &Options::loadTrace,
+     kOneTrace & ~kTrace, "FILE"},
+    {"--save-trace", Kind::Path, &Options::saveTrace, kOneTrace, "FILE"},
+    {"--n", Kind::Uint, &Options::disasmCount, kDisasm, "N"},
+
+    {"--jobs", Kind::Uint, &Options::jobs, kEngine | kServe, "N", 0, kU32,
+     "parallelism is the daemon's ('serve --jobs'), not a client's"},
+    {"--benches", Kind::Text, &Options::benches, kSweep | kPerf | kSubmit,
+     "A,B"},
+    {"--cores", Kind::Text, &Options::cores, kSweep | kSubmit, "X,Y"},
+    {"--format", Kind::Enum, &Options::format, kSweep | kSubmit,
+     "table|csv|json"},
+    {"--out", Kind::Path, &Options::out,
+     kSweep | kMerge | kPerf | kSubmit | kResult, "FILE"},
+    {"--shard", Kind::Text, &Options::shard, kSweep, "i/N"},
+    {"--trace-dir", Kind::Path, &Options::traceDir, kEngine | kServe, "DIR"},
+
+    {"--socket", Kind::Path, &Options::socket, kService, "PATH"},
+    {"--queue-depth", Kind::Uint, &Options::queueDepth, kServe, "K", 1},
+    {"--cache-dir", Kind::Path, &Options::cacheDir, kServe, "DIR"},
+    {"--deadline-sec", Kind::Uint, &Options::deadlineSec, kServe | kSubmit,
+     "SEC"},
+    {"--listen-tcp", Kind::Path, &Options::listenTcp, kServe, "H:P"},
+    {"--peers", Kind::Path, &Options::peers, kServe, "A,B"},
+    {"--slice-deadline-sec", Kind::Uint, &Options::sliceDeadlineSec, kServe,
+     "SEC"},
+    {"--job-trace-dir", Kind::Path, &Options::jobTraceDir, kServe, "DIR"},
+    {"--wait", Kind::Flag, &Options::wait, kSubmit},
+    {"--trace", Kind::Flag, &Options::trace, kSubmit},
+    {"--job", Kind::Uint, &Options::jobId, kStatus | kResult | kCancel, "N"},
+    {"--json", Kind::Flag, &Options::json, kStatus | kMetrics},
+    {"--timeout", Kind::Uint, &Options::timeoutSec, kClient, "SEC", 0, kU32},
+    {"--retries", Kind::Uint, &Options::retries, kClient, "N", 0, kU32},
+
+    {"--quick", Kind::Flag, &Options::quick, kPerf},
+    {"--reps", Kind::Uint, &Options::reps, kPerf, "N", 0, kU32},
+    {"--warmup", Kind::Uint, &Options::warmup, kPerf, "N", 0, kU32},
+    {"--baseline", Kind::Path, &Options::baseline, kPerf, "FILE"},
+};
+static_assert(std::size(kOptions) <= 64, "Options::seen is 64 bits");
+
+const OptionSpec &
+optionFor(Field field)
+{
+    for (const OptionSpec &spec : kOptions) {
+        if (spec.field == field)
+            return spec;
+    }
+    ICFP_PANIC("Options field without a kOptions row");
 }
 
 bool
-parseArgs(int argc, char **argv, Options *opt)
+Options::given(Field field) const
 {
-    if (argc < 2)
-        return false;
-    opt->command = argv[1];
+    return (seen >> (&optionFor(field) - kOptions)) & 1;
+}
 
-    for (int i = 2; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--bench") {
-            opt->bench = next();
-            opt->benchSet = true;
-        } else if (arg == "--core") {
-            opt->core = next();
-        } else if (arg == "--suite") {
-            opt->suite = next();
-            opt->suiteSet = true;
-        } else if (arg == "--insts") {
-            opt->insts = std::strtoull(next(), nullptr, 0);
-            opt->instsSet = true;
-        } else if (arg == "--seed") {
-            opt->seed = std::strtoull(next(), nullptr, 0);
-        } else if (arg == "--l2-lat") {
-            opt->l2Latency = std::strtoull(next(), nullptr, 0);
-        } else if (arg == "--mem-lat") {
-            opt->memLatency = std::strtoull(next(), nullptr, 0);
-        } else if (arg == "--poison-bits") {
-            opt->poisonBits =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
-        } else if (arg == "--trigger") {
-            opt->trigger = next();
-        } else if (arg == "--blocking-rally") {
-            opt->blockingRally = true;
-        } else if (arg == "--no-mt-rally") {
-            opt->noMtRally = true;
-        } else if (arg == "--load-trace") {
-            opt->loadTrace = next();
-        } else if (arg == "--save-trace") {
-            opt->saveTrace = next();
-        } else if (arg == "--n") {
-            opt->disasmCount =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
-        } else if (arg == "--jobs") {
-            opt->jobs =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
-            if (opt->jobs == 0)
-                opt->jobs = 1;
-        } else if (arg == "--benches") {
-            opt->benches = next();
-        } else if (arg == "--cores") {
-            opt->cores = next();
-        } else if (arg == "--format") {
-            opt->format = next();
-            opt->formatSet = true;
-        } else if (arg == "--out") {
-            opt->out = next();
-        } else if (arg == "--shard") {
-            const char *text = next();
-            opt->shard = parseShardSpec(text);
-            if (!opt->shard) {
-                std::fprintf(stderr,
-                             "bad --shard '%s' (want i/N with "
-                             "1 <= i <= N)\n",
-                             text);
-                return false;
-            }
-        } else if (arg == "--socket") {
-            opt->socket = next();
-        } else if (arg == "--queue-depth") {
-            opt->queueDepth =
-                static_cast<size_t>(std::strtoull(next(), nullptr, 0));
-            if (opt->queueDepth == 0) {
-                std::fprintf(stderr,
-                             "--queue-depth must be at least 1\n");
-                return false;
-            }
-            opt->queueDepthSet = true;
-        } else if (arg == "--wait") {
-            opt->wait = true;
-        } else if (arg == "--job") {
-            opt->jobId = std::strtoull(next(), nullptr, 0);
-        } else if (arg == "--cache-dir") {
-            opt->cacheDir = next();
-            if (opt->cacheDir->empty()) {
-                // Same guard as --trace-dir: an empty dir (unset shell
-                // variable) would scatter .res files into the CWD.
-                std::fprintf(stderr,
-                             "--cache-dir requires a non-empty "
-                             "directory\n");
-                return false;
-            }
-        } else if (arg == "--deadline-sec") {
-            opt->deadlineSec = std::strtoull(next(), nullptr, 0);
-            opt->deadlineSecSet = true;
-        } else if (arg == "--timeout") {
-            opt->timeoutSec =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
-            opt->timeoutSet = true;
-        } else if (arg == "--peers") {
-            opt->peers = next();
-            if (opt->peers.empty()) {
-                std::fprintf(stderr,
-                             "--peers requires a non-empty endpoint "
-                             "list\n");
-                return false;
-            }
-        } else if (arg == "--listen-tcp") {
-            opt->listenTcp = next();
-            if (opt->listenTcp.empty()) {
-                std::fprintf(stderr,
-                             "--listen-tcp requires host:port\n");
-                return false;
-            }
-        } else if (arg == "--slice-deadline-sec") {
-            opt->sliceDeadlineSec = std::strtoull(next(), nullptr, 0);
-            opt->sliceDeadlineSet = true;
-        } else if (arg == "--json") {
-            opt->statusJson = true;
-        } else if (arg == "--job-trace-dir") {
-            opt->jobTraceDir = next();
-            if (opt->jobTraceDir->empty()) {
-                // Same guard as --trace-dir/--cache-dir: an empty dir
-                // would scatter trace files into the CWD.
-                std::fprintf(stderr,
-                             "--job-trace-dir requires a non-empty "
-                             "directory\n");
-                return false;
-            }
-        } else if (arg == "--trace") {
-            opt->trace = true;
-        } else if (arg == "--retries") {
-            opt->retries =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
-            opt->retriesSet = true;
-        } else if (arg == "--quick") {
-            opt->quick = true;
-        } else if (arg == "--reps") {
-            opt->perfReps =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
-            if (opt->perfReps == 0)
-                opt->perfReps = 1;
-            opt->perfRepsSet = true;
-        } else if (arg == "--warmup") {
-            opt->perfWarmup =
-                static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
-            opt->perfWarmupSet = true;
-        } else if (arg == "--baseline") {
-            opt->baseline = next();
-        } else if (arg == "--trace-dir") {
-            opt->traceDir = next();
-            if (opt->traceDir->empty()) {
-                // An empty dir (unset shell variable) would root the
-                // store at "" and scatter .trc files into the CWD.
-                std::fprintf(stderr,
-                             "--trace-dir requires a non-empty "
-                             "directory\n");
-                return false;
-            }
-        } else if (arg.rfind("--", 0) != 0) {
-            opt->inputs.push_back(arg);
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            return false;
-        }
-    }
-    return true;
+/** Sweep-engine worker threads: --jobs (0 read as 1), else the default. */
+unsigned
+engineJobs(const Options &opt)
+{
+    return opt.given(&Options::jobs)
+               ? static_cast<unsigned>(std::max<uint64_t>(opt.jobs, 1))
+               : 0;
 }
 
 /**
@@ -406,14 +308,14 @@ parseArgs(int argc, char **argv, Options *opt)
 std::string
 configIdentity(const Options &opt)
 {
-    std::string id = "l2=";
-    id += opt.l2Latency ? std::to_string(*opt.l2Latency) : "-";
-    id += " mem=";
-    id += opt.memLatency ? std::to_string(*opt.memLatency) : "-";
-    id += " pb=";
-    id += opt.poisonBits ? std::to_string(*opt.poisonBits) : "-";
+    auto number = [&](uint64_t Options::*field) {
+        return opt.given(field) ? std::to_string(opt.*field) : "-";
+    };
+    std::string id = "l2=" + number(&Options::l2Latency);
+    id += " mem=" + number(&Options::memLatency);
+    id += " pb=" + number(&Options::poisonBits);
     id += " trig=";
-    id += opt.trigger ? *opt.trigger : "-";
+    id += opt.given(&Options::trigger) ? opt.trigger : "-";
     id += opt.blockingRally ? " blocking-rally" : "";
     id += opt.noMtRally ? " no-mt-rally" : "";
     return id;
@@ -424,22 +326,20 @@ SimConfig
 makeConfig(const Options &opt)
 {
     SimConfig cfg;
-    if (opt.l2Latency)
-        cfg.mem.l2HitLatency = *opt.l2Latency;
-    if (opt.memLatency)
-        cfg.mem.memory.accessLatency = *opt.memLatency;
-    if (opt.poisonBits) {
-        cfg.icfp.poisonBits = *opt.poisonBits;
-        cfg.mem.poisonBits = *opt.poisonBits;
+    if (opt.given(&Options::l2Latency))
+        cfg.mem.l2HitLatency = opt.l2Latency;
+    if (opt.given(&Options::memLatency))
+        cfg.mem.memory.accessLatency = opt.memLatency;
+    if (opt.given(&Options::poisonBits)) {
+        cfg.icfp.poisonBits = static_cast<unsigned>(opt.poisonBits);
+        cfg.mem.poisonBits = static_cast<unsigned>(opt.poisonBits);
     }
-    if (opt.trigger) {
-        AdvanceTrigger t = AdvanceTrigger::AnyDcache;
-        if (*opt.trigger == "none")
+    if (opt.given(&Options::trigger)) {
+        AdvanceTrigger t = AdvanceTrigger::AnyDcache; // "any"
+        if (opt.trigger == "none")
             t = AdvanceTrigger::None;
-        else if (*opt.trigger == "l2")
+        else if (opt.trigger == "l2")
             t = AdvanceTrigger::L2Only;
-        else if (*opt.trigger != "any")
-            ICFP_FATAL("bad --trigger %s", opt.trigger->c_str());
         cfg.icfp.trigger = t;
         cfg.runahead.trigger = t;
     }
@@ -454,14 +354,14 @@ makeConfig(const Options &opt)
 Trace
 makeTrace(const Options &opt)
 {
-    if (opt.loadTrace)
-        return loadTraceFile(*opt.loadTrace);
+    if (opt.given(&Options::loadTrace))
+        return loadTraceFile(opt.loadTrace);
     BenchmarkSpec spec = findBenchmark(opt.bench);
-    if (opt.seed)
-        spec.workload.seed = *opt.seed;
+    if (opt.given(&Options::seed))
+        spec.workload.seed = opt.seed;
     Trace trace = makeBenchTrace(spec, opt.insts);
-    if (opt.saveTrace)
-        saveTraceFile(*opt.saveTrace, trace);
+    if (opt.given(&Options::saveTrace))
+        saveTraceFile(opt.saveTrace, trace);
     return trace;
 }
 
@@ -504,21 +404,14 @@ coreVariants(const std::vector<CoreKind> &kinds, const SimConfig &cfg)
     return variants;
 }
 
-/** The one list of sweep output formats (validation + dispatch). */
-bool
-validSweepFormat(const std::string &format)
-{
-    return format == "table" || format == "csv" || format == "json";
-}
-
 /** Apply --trace-dir (overriding the ICFP_TRACE_DIR directory; the
  *  ICFP_TRACE_DIR_MAX_MB cap still applies). */
 void
 applyTraceDir(SweepEngine &engine, const Options &opt)
 {
-    if (opt.traceDir) {
+    if (opt.given(&Options::traceDir)) {
         engine.setTraceStore(std::make_shared<TraceStore>(
-            *opt.traceDir, TraceStore::maxBytesFromEnv()));
+            opt.traceDir, TraceStore::maxBytesFromEnv()));
     }
 }
 
@@ -543,25 +436,43 @@ printStoreStats(const SweepEngine &engine)
                  store->dir().c_str());
 }
 
+/** Write @p text to --out, or to stdout without it. */
+int
+emitPayload(const Options &opt, const std::string &text)
+{
+    if (!opt.given(&Options::out)) {
+        std::fputs(text.c_str(), stdout);
+        return 0;
+    }
+    std::FILE *f = std::fopen(opt.out.c_str(), "w");
+    if (!f) {
+        std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
+        return 1;
+    }
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+    return 0;
+}
+
 /**
- * Emit a sweep report per --format/--out. With --shard, emits a shard
+ * Emit a sweep report per --format/--out. With @p shard, emits a shard
  * artifact carrying (shard, @p grid_rows) metadata for `icfp-sim merge`.
- * @pre validSweepFormat()
  */
 int
-emitSweep(const Options &opt, const std::vector<SweepResult> &results,
-          uint64_t grid_rows, uint64_t grid_fp)
+emitSweep(const Options &opt, const std::optional<ShardSpec> &shard,
+          const std::vector<SweepResult> &results, uint64_t grid_rows,
+          uint64_t grid_fp)
 {
     std::string text;
-    if (opt.shard && opt.format == "csv") {
-        text = shardCsv(results, *opt.shard, grid_rows, grid_fp);
-    } else if (opt.shard && opt.format == "json") {
-        text = shardJson(results, *opt.shard, grid_rows, grid_fp);
+    if (shard && opt.format == "csv") {
+        text = shardCsv(results, *shard, grid_rows, grid_fp);
+    } else if (shard && opt.format == "json") {
+        text = shardJson(results, *shard, grid_rows, grid_fp);
     } else if (opt.format == "csv") {
         text = sweepCsv(results);
     } else if (opt.format == "json") {
         text = sweepJson(results);
-    } else if (opt.format == "table") {
+    } else { // "table", the only other word --format accepts
         Table t("Sweep results (" + std::to_string(results.size()) +
                 " runs)");
         t.setColumns({"bench/variant", "IPC", "D$ miss/KI", "L2 miss/KI",
@@ -576,22 +487,12 @@ emitSweep(const Options &opt, const std::vector<SweepResult> &results,
                      2);
         }
         text = t.str();
-    } else {
-        ICFP_PANIC("unvalidated format '%s'", opt.format.c_str());
     }
-
-    if (opt.out) {
-        std::FILE *f = std::fopen(opt.out->c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", opt.out->c_str());
-            return 1;
-        }
-        std::fputs(text.c_str(), f);
-        std::fclose(f);
+    if (emitPayload(opt, text) != 0)
+        return 1;
+    if (opt.given(&Options::out)) {
         std::printf("wrote %zu runs to %s\n", results.size(),
-                    opt.out->c_str());
-    } else {
-        std::fputs(text.c_str(), stdout);
+                    opt.out.c_str());
     }
     return 0;
 }
@@ -640,7 +541,7 @@ cmdList(const Options &opt)
 }
 
 int
-cmdSuites()
+cmdSuites(const Options &)
 {
     std::printf("registered workload suites:\n");
     for (const std::string &name : suiteNames()) {
@@ -653,7 +554,7 @@ cmdSuites()
 }
 
 int
-cmdCores()
+cmdCores(const Options &)
 {
     std::printf("registered core models:\n");
     for (const CoreKind kind : CoreRegistry::instance().kinds())
@@ -681,16 +582,16 @@ cmdCompare(const Options &original)
     Options opt = original;
     // --suite selects the benchmark namespace: without an explicit
     // --bench, compare the models on the suite's first benchmark.
-    if (opt.suiteSet && !opt.benchSet)
+    if (opt.given(&Options::suite) && !opt.given(&Options::bench))
         opt.bench = findSuite(opt.suite).front().name;
     const SimConfig cfg = makeConfig(opt);
     const std::vector<SweepVariant> variants =
         coreVariants(CoreRegistry::instance().kinds(), cfg);
 
-    SweepEngine engine(opt.jobs);
+    SweepEngine engine(engineJobs(opt));
     applyTraceDir(engine, opt);
     std::vector<SweepResult> results;
-    if (opt.loadTrace) {
+    if (opt.given(&Options::loadTrace)) {
         const Trace trace = makeTrace(opt);
         results = engine.runOnTrace(trace, variants, opt.bench);
     } else {
@@ -698,11 +599,11 @@ cmdCompare(const Options &original)
         spec.benches = {opt.bench};
         spec.variants = variants;
         spec.insts = opt.insts;
-        spec.seed = opt.seed;
+        spec.seed = opt.ifGiven(&Options::seed);
         results = engine.run(spec);
-        if (opt.saveTrace)
-            saveTraceFile(*opt.saveTrace,
-                          engine.trace(opt.bench, opt.insts, opt.seed));
+        if (opt.given(&Options::saveTrace))
+            saveTraceFile(opt.saveTrace,
+                          engine.trace(opt.bench, opt.insts, spec.seed));
         printStoreStats(engine);
     }
 
@@ -721,27 +622,9 @@ cmdCompare(const Options &original)
     return 0;
 }
 
-/** Multi-bench commands generate per-bench traces; trace I/O options
- *  would be silently meaningless, so reject them loudly. */
-bool
-rejectTraceIo(const Options &opt, const char *command)
-{
-    if (opt.loadTrace || opt.saveTrace) {
-        std::fprintf(stderr,
-                     "%s: --load-trace/--save-trace are not supported "
-                     "(runs one trace per benchmark); use 'run' or "
-                     "'compare'\n",
-                     command);
-        return true;
-    }
-    return false;
-}
-
 int
 cmdSuite(const Options &opt)
 {
-    if (rejectTraceIo(opt, "suite"))
-        return 1;
     const auto kind = parseCoreKind(opt.core);
     if (!kind) {
         std::fprintf(stderr, "unknown core '%s'\n", opt.core.c_str());
@@ -751,9 +634,9 @@ cmdSuite(const Options &opt)
     spec.benches = resolveBenches("all", opt.suite);
     spec.variants = {{opt.core, *kind, makeConfig(opt)}};
     spec.insts = opt.insts;
-    spec.seed = opt.seed;
+    spec.seed = opt.ifGiven(&Options::seed);
 
-    SweepEngine engine(opt.jobs);
+    SweepEngine engine(engineJobs(opt));
     applyTraceDir(engine, opt);
     const std::vector<SweepResult> results = engine.run(spec);
     printStoreStats(engine);
@@ -775,14 +658,18 @@ cmdSuite(const Options &opt)
 int
 cmdSweep(const Options &opt)
 {
-    if (rejectTraceIo(opt, "sweep"))
-        return 1;
-    // Validate the output sink before burning grid time.
-    if (!validSweepFormat(opt.format)) {
-        std::fprintf(stderr, "unknown format '%s'\n", opt.format.c_str());
-        return 1;
+    std::optional<ShardSpec> shard;
+    if (opt.given(&Options::shard)) {
+        shard = parseShardSpec(opt.shard);
+        if (!shard) {
+            std::fprintf(stderr,
+                         "bad --shard '%s' (want i/N with 1 <= i <= N)\n",
+                         opt.shard.c_str());
+            return 1;
+        }
     }
-    if (opt.shard && opt.format == "table") {
+    // Validate the output sink before burning grid time.
+    if (shard && opt.format == "table") {
         std::fprintf(stderr,
                      "--shard emits a mergeable artifact; use "
                      "--format csv or json\n");
@@ -796,28 +683,27 @@ cmdSweep(const Options &opt)
         findBenchmark(bench);
     spec.variants = coreVariants(resolveCores(opt.cores), makeConfig(opt));
     spec.insts = opt.insts;
-    spec.seed = opt.seed;
-    if (opt.out) {
+    spec.seed = opt.ifGiven(&Options::seed);
+    if (opt.given(&Options::out)) {
         // Writability probe in append mode: never truncates existing
         // results; emitSweep rewrites the file after the grid completes.
-        std::FILE *f = std::fopen(opt.out->c_str(), "a");
+        std::FILE *f = std::fopen(opt.out.c_str(), "a");
         if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", opt.out->c_str());
+            std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
             return 1;
         }
         std::fclose(f);
     }
 
     const std::vector<SweepJob> grid = expandGrid(spec);
-    const std::vector<SweepJob> jobs =
-        opt.shard ? shardJobs(grid, *opt.shard) : grid;
+    const std::vector<SweepJob> jobs = shard ? shardJobs(grid, *shard) : grid;
 
-    SweepEngine engine(opt.jobs);
+    SweepEngine engine(engineJobs(opt));
     applyTraceDir(engine, opt);
     const std::vector<SweepResult> results =
         engine.run(jobs, spec.insts, spec.seed);
     printStoreStats(engine);
-    return emitSweep(opt, results, grid.size(),
+    return emitSweep(opt, shard, results, grid.size(),
                      gridFingerprint(grid, spec.insts, spec.seed,
                                      configIdentity(opt)));
 }
@@ -830,24 +716,6 @@ cmdMerge(const Options &opt)
                      "merge: give the shard artifact files to merge\n");
         return 1;
     }
-    if (opt.formatSet) {
-        // Never pretend to honor a format we don't control: the merged
-        // report's format is whatever the shard artifacts carry.
-        std::fprintf(stderr,
-                     "merge: the output format is inferred from the "
-                     "artifacts; --format is not accepted\n");
-        return 1;
-    }
-    if (opt.instsSet || opt.benches != "all" || opt.cores != "all" ||
-        opt.seed || opt.jobs != 0) {
-        // Same policy as --format: merge only stitches artifacts, so a
-        // sweep-shaping option here would be silently meaningless.
-        std::fprintf(stderr,
-                     "merge: --insts/--benches/--cores/--seed/--jobs "
-                     "shape a sweep, not a merge; rerun the shards "
-                     "instead\n");
-        return 1;
-    }
     std::string text;
     try {
         text = mergeShardFiles(opt.inputs);
@@ -855,18 +723,7 @@ cmdMerge(const Options &opt)
         std::fprintf(stderr, "merge: %s\n", e.what());
         return 1;
     }
-    if (opt.out) {
-        std::FILE *f = std::fopen(opt.out->c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", opt.out->c_str());
-            return 1;
-        }
-        std::fputs(text.c_str(), f);
-        std::fclose(f);
-    } else {
-        std::fputs(text.c_str(), stdout);
-    }
-    return 0;
+    return emitPayload(opt, text);
 }
 
 int
@@ -875,19 +732,20 @@ cmdPerf(const Options &opt)
     PerfOptions perf;
     perf.suite = opt.suite;
     perf.quick = opt.quick;
-    perf.reps = opt.perfRepsSet ? opt.perfReps : (opt.quick ? 1 : 3);
-    perf.warmup = opt.perfWarmupSet ? opt.perfWarmup
-                                    : (opt.quick ? 0 : 1);
-    if (opt.instsSet)
-        perf.insts = opt.insts;
-    else
-        perf.insts = opt.quick ? 20000 : 100000;
+    perf.reps = opt.given(&Options::reps)
+                    ? static_cast<unsigned>(std::max<uint64_t>(opt.reps, 1))
+                    : (opt.quick ? 1 : 3);
+    perf.warmup = opt.given(&Options::warmup)
+                      ? static_cast<unsigned>(opt.warmup)
+                      : (opt.quick ? 0 : 1);
+    perf.insts = opt.given(&Options::insts) ? opt.insts
+                                            : (opt.quick ? 20000 : 100000);
     if (opt.benches != "all")
         perf.benches = splitCommaList(opt.benches);
 
     std::optional<PerfBaseline> baseline;
-    if (opt.baseline) {
-        baseline = readPerfBaseline(*opt.baseline);
+    if (opt.given(&Options::baseline)) {
+        baseline = readPerfBaseline(opt.baseline);
         if (!baseline)
             return 1; // a requested comparison that can't happen is an error
         // Refuse a cross-suite comparison: a "speedup" of nonspec
@@ -902,7 +760,7 @@ cmdPerf(const Options &opt)
             std::fprintf(stderr,
                          "perf: baseline %s measured grid '%s' but this "
                          "run is '%s'; rerun with a matching --suite\n",
-                         opt.baseline->c_str(), baseline->grid.c_str(),
+                         opt.baseline.c_str(), baseline->grid.c_str(),
                          current.c_str());
             return 1;
         }
@@ -911,7 +769,8 @@ cmdPerf(const Options &opt)
     const PerfReport report = runPerfHarness(perf);
     const std::string json = perfReportJson(report, baseline);
 
-    const std::string out_path = opt.out ? *opt.out : "BENCH_perf.json";
+    const std::string out_path =
+        opt.ifGiven(&Options::out).value_or("BENCH_perf.json");
     std::FILE *f = std::fopen(out_path.c_str(), "w");
     if (!f) {
         std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
@@ -941,18 +800,14 @@ cmdPerf(const Options &opt)
 int
 cmdTrace(const Options &opt)
 {
-    if (!opt.saveTrace) {
-        std::fprintf(stderr, "trace: requires --save-trace FILE\n");
-        return 1;
-    }
     const Trace trace = makeTrace(opt);
     std::printf("saved %zu dynamic instructions to %s\n", trace.size(),
-                opt.saveTrace->c_str());
+                opt.saveTrace.c_str());
     return 0;
 }
 
 int
-cmdVersion()
+cmdVersion(const Options &)
 {
     std::fputs(versionJson().c_str(), stdout);
     return 0;
@@ -972,15 +827,15 @@ cmdServe(const Options &opt)
 {
     service::ServerOptions sopt;
     sopt.socketPath = opt.socket;
-    sopt.jobs = opt.jobs;
+    sopt.jobs = engineJobs(opt);
     sopt.queueDepth = opt.queueDepth;
-    sopt.traceDir = opt.traceDir;
-    sopt.cacheDir = opt.cacheDir;
+    sopt.traceDir = opt.ifGiven(&Options::traceDir);
+    sopt.cacheDir = opt.ifGiven(&Options::cacheDir);
     sopt.deadlineSec = opt.deadlineSec;
     sopt.listenTcp = opt.listenTcp;
     sopt.peers = splitCommaList(opt.peers);
     sopt.sliceDeadlineSec = opt.sliceDeadlineSec;
-    sopt.jobTraceDir = opt.jobTraceDir;
+    sopt.jobTraceDir = opt.ifGiven(&Options::jobTraceDir);
     service::Server server(std::move(sopt));
 
     // Handlers first: a supervisor's SIGTERM racing startup must drain,
@@ -1009,48 +864,28 @@ service::ClientOptions
 clientOptions(const Options &opt)
 {
     service::ClientOptions copt;
-    copt.timeoutSec = opt.timeoutSec;
-    copt.retries = opt.retries;
+    copt.timeoutSec = static_cast<unsigned>(opt.timeoutSec);
+    copt.retries = static_cast<unsigned>(opt.retries);
     return copt;
-}
-
-/** Emit a fetched artifact payload per --out (file) or to stdout. */
-int
-emitPayload(const Options &opt, const std::string &payload)
-{
-    if (opt.out) {
-        std::FILE *f = std::fopen(opt.out->c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", opt.out->c_str());
-            return 1;
-        }
-        std::fputs(payload.c_str(), f);
-        std::fclose(f);
-    } else {
-        std::fputs(payload.c_str(), stdout);
-    }
-    return 0;
 }
 
 int
 cmdSubmit(const Options &opt)
 {
-    if (rejectTraceIo(opt, "submit"))
-        return 1;
-    std::string format = opt.format;
-    if (!opt.formatSet) {
-        format = "csv"; // the service only deals in artifact formats
-    } else if (format != "csv" && format != "json") {
+    // The service only deals in artifact formats.
+    const std::string format =
+        opt.ifGiven(&Options::format).value_or("csv");
+    if (format == "table") {
         std::fprintf(stderr, "submit: --format must be csv or json\n");
         return 1;
     }
-    if (opt.out) {
+    if (opt.given(&Options::out)) {
         // Writability probe in append mode, like cmdSweep: the daemon
         // must not burn grid time for an artifact with nowhere to land
         // (and an existing report must not be truncated by the probe).
-        std::FILE *f = std::fopen(opt.out->c_str(), "a");
+        std::FILE *f = std::fopen(opt.out.c_str(), "a");
         if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", opt.out->c_str());
+            std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
             return 1;
         }
         std::fclose(f);
@@ -1058,15 +893,15 @@ cmdSubmit(const Options &opt)
     try {
         service::ServiceClient client(opt.socket, clientOptions(opt));
         service::Frame request("submit");
-        if (opt.suiteSet)
+        if (opt.given(&Options::suite))
             request.addString("suite", opt.suite);
         request.addString("benches", opt.benches);
         request.addString("cores", opt.cores);
         request.addUint("insts", opt.insts);
-        if (opt.seed)
-            request.addUint("seed", *opt.seed);
+        if (opt.given(&Options::seed))
+            request.addUint("seed", opt.seed);
         request.addString("format", format);
-        if (opt.deadlineSecSet)
+        if (opt.given(&Options::deadlineSec))
             request.addUint("deadline_sec", opt.deadlineSec);
         if (opt.trace)
             request.addUint("trace", 1);
@@ -1132,7 +967,7 @@ cmdDaemonStatus(const Options &opt)
                                               "' response").c_str());
             return 1;
         }
-        if (opt.statusJson) {
+        if (opt.json) {
             std::printf("%s\n", response.serialize().c_str());
             return 0;
         }
@@ -1182,24 +1017,20 @@ cmdDaemonStatus(const Options &opt)
 int
 cmdStatusOrResult(const Options &opt)
 {
-    if (!opt.jobId) {
-        if (opt.command == "status")
-            return cmdDaemonStatus(opt);
-        std::fprintf(stderr, "%s: requires --job N\n",
-                     opt.command.c_str());
-        return 1;
-    }
+    const std::string verb = opt.verb->name; // "status" or "result"
+    if (!opt.given(&Options::jobId))
+        return cmdDaemonStatus(opt); // only status: result requires --job
     try {
         service::ServiceClient client(opt.socket, clientOptions(opt));
-        service::Frame request(opt.command); // "status" or "result"
-        request.addUint("job", *opt.jobId);
+        service::Frame request(verb);
+        request.addUint("job", opt.jobId);
         const service::Frame response = client.request(request);
         if (response.type() == "error") {
-            std::fprintf(stderr, "%s: %s\n", opt.command.c_str(),
+            std::fprintf(stderr, "%s: %s\n", verb.c_str(),
                          response.stringField("message").c_str());
             return 1;
         }
-        if (opt.command == "result") {
+        if (verb == "result") {
             if (response.type() != "result") {
                 std::fprintf(stderr, "result: unexpected '%s' response\n",
                              response.type().c_str());
@@ -1207,7 +1038,7 @@ cmdStatusOrResult(const Options &opt)
             }
             return emitPayload(opt, response.stringField("payload"));
         }
-        if (opt.statusJson) {
+        if (opt.json) {
             std::printf("%s\n", response.serialize().c_str());
             return 0;
         }
@@ -1218,7 +1049,7 @@ cmdStatusOrResult(const Options &opt)
                     response.stringField("fp").c_str());
         return 0;
     } catch (const service::ProtocolError &e) {
-        std::fprintf(stderr, "%s: %s\n", opt.command.c_str(), e.what());
+        std::fprintf(stderr, "%s: %s\n", verb.c_str(), e.what());
         return 1;
     }
 }
@@ -1226,14 +1057,10 @@ cmdStatusOrResult(const Options &opt)
 int
 cmdCancel(const Options &opt)
 {
-    if (!opt.jobId) {
-        std::fprintf(stderr, "cancel: requires --job N\n");
-        return 1;
-    }
     try {
         service::ServiceClient client(opt.socket, clientOptions(opt));
         service::Frame request("cancel");
-        request.addUint("job", *opt.jobId);
+        request.addUint("job", opt.jobId);
         const service::Frame response = client.request(request);
         if (response.type() == "error") {
             std::fprintf(stderr, "cancel: %s\n",
@@ -1301,7 +1128,7 @@ cmdMetrics(const Options &opt)
     try {
         service::ServiceClient client(opt.socket, clientOptions(opt));
         service::Frame request("metrics");
-        request.addString("format", opt.statusJson ? "json" : "text");
+        request.addString("format", opt.json ? "json" : "text");
         const service::Frame response = client.request(request);
         if (response.type() != "metrics") {
             std::fprintf(stderr, "metrics: %s\n",
@@ -1339,214 +1166,215 @@ cmdDisasm(const Options &opt)
     return 0;
 }
 
+const VerbSpec kVerbs[] = {
+    {"list", kList, cmdList},
+    {"suites", kSuites, cmdSuites},
+    {"cores", kCores, cmdCores},
+    {"run", kRun, cmdRun},
+    {"compare", kCompare, cmdCompare},
+    {"suite", kSuite, cmdSuite},
+    {"sweep", kSweep, cmdSweep},
+    {"merge", kMerge, cmdMerge, {}, "SHARD..."},
+    {"perf", kPerf, cmdPerf},
+    {"trace", kTrace, cmdTrace, {&Options::saveTrace}},
+    {"disasm", kDisasm, cmdDisasm},
+    {"version", kVersion, cmdVersion},
+    {"serve", kServe, cmdServe, {&Options::socket}},
+    {"submit", kSubmit, cmdSubmit, {&Options::socket}},
+    {"status", kStatus, cmdStatusOrResult, {&Options::socket}},
+    {"result", kResult, cmdStatusOrResult,
+     {&Options::socket, &Options::jobId}},
+    {"cancel", kCancel, cmdCancel, {&Options::socket, &Options::jobId}},
+    {"ping", kPing, cmdPing, {&Options::socket}},
+    {"metrics", kMetrics, cmdMetrics, {&Options::socket}},
+};
+
+/** "--name META", or just the name for a flag. */
+std::string
+optionUsage(const OptionSpec &spec)
+{
+    return spec.kind == Kind::Flag ? spec.name
+                                   : std::string(spec.name) + " " + spec.meta;
+}
+
+/** Every verb with the options it accepts; required ones unbracketed. */
+void
+usage()
+{
+    std::fprintf(stderr, "usage: icfp-sim VERB [options]\n");
+    for (const VerbSpec &verb : kVerbs) {
+        std::string line = std::string("  ") + verb.name;
+        auto add = [&](const std::string &word) {
+            if (line.size() + 1 + word.size() > 79) {
+                std::fprintf(stderr, "%s\n", line.c_str());
+                line = std::string(11, ' ');
+            } else {
+                line.resize(std::max<size_t>(line.size(), 10), ' ');
+            }
+            line += " " + word;
+        };
+        for (const OptionSpec &spec : kOptions) {
+            if (!(spec.verbs & verb.bit))
+                continue;
+            const bool required =
+                std::find(verb.required.begin(), verb.required.end(),
+                          spec.field) != verb.required.end();
+            add(required ? optionUsage(spec)
+                         : "[" + optionUsage(spec) + "]");
+        }
+        if (verb.operands)
+            add(verb.operands);
+        std::fprintf(stderr, "%s\n", line.c_str());
+    }
+}
+
+/** The verbs in @p verbs, comma-separated. */
+std::string
+verbNames(uint32_t verbs)
+{
+    std::string names;
+    for (const VerbSpec &verb : kVerbs) {
+        if (verbs & verb.bit)
+            names += (names.empty() ? "" : ", ") + std::string(verb.name);
+    }
+    return names;
+}
+
+/** A whole unsigned integer (decimal, 0x hex, or 0 octal) in [lo, hi]. */
+std::optional<uint64_t>
+parseUint(const char *text, uint64_t lo, uint64_t hi)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt; // strtoull would take "-1", " 1" and "+1"
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long value = std::strtoull(text, &end, 0);
+    if (*end != '\0' || errno == ERANGE || value < lo || value > hi)
+        return std::nullopt;
+    return value;
+}
+
+/** Whether @p text is one of the '|'-separated words in @p words. */
+bool
+oneOf(const std::string &words, const std::string &text)
+{
+    return text.find('|') == std::string::npos &&
+           ("|" + words + "|").find("|" + text + "|") != std::string::npos;
+}
+
+/** Check @p text against @p spec's kind and store it; false if bad. */
+bool
+setValue(const OptionSpec &spec, const char *text, Options *opt)
+{
+    if (spec.kind == Kind::Uint) {
+        const std::optional<uint64_t> value =
+            parseUint(text, spec.lo, spec.hi);
+        if (value)
+            opt->*std::get<uint64_t Options::*>(spec.field) = *value;
+        return value.has_value();
+    }
+    if ((spec.kind == Kind::Path && !*text) ||
+        (spec.kind == Kind::Enum && !oneOf(spec.meta, text)))
+        return false;
+    opt->*std::get<std::string Options::*>(spec.field) = text;
+    return true;
+}
+
+/** What setValue() accepts for @p spec, for the error message. */
+std::string
+expected(const OptionSpec &spec)
+{
+    if (spec.kind == Kind::Uint) {
+        return "an integer in " + std::to_string(spec.lo) + ".." +
+               std::to_string(spec.hi);
+    }
+    if (spec.kind == Kind::Enum)
+        return std::string("one of ") + spec.meta;
+    return "a non-empty value";
+}
+
+/**
+ * Parse argv[2..] for @p opt->verb: look each option up, refuse it if
+ * the verb does not read it, check and store its value, and record it
+ * as seen. False after printing why.
+ */
+bool
+parseArgs(int argc, char **argv, Options *opt)
+{
+    const VerbSpec &verb = *opt->verb;
+    for (int i = 2; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.rfind("--", 0) != 0) {
+            if (!verb.operands) {
+                std::fprintf(stderr, "%s: unexpected argument '%s'\n",
+                             verb.name, arg.c_str());
+                return false;
+            }
+            opt->inputs.push_back(arg);
+            continue;
+        }
+        const OptionSpec *spec = std::find_if(
+            std::begin(kOptions), std::end(kOptions),
+            [&](const OptionSpec &s) { return arg == s.name; });
+        if (spec == std::end(kOptions)) {
+            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
+            return false;
+        }
+        if (!(spec->verbs & verb.bit)) {
+            std::fprintf(stderr, "%s: %s is not accepted (accepted by: %s)\n",
+                         verb.name, spec->name,
+                         verbNames(spec->verbs).c_str());
+            if (spec->serviceWhy && (verb.bit & kService))
+                std::fprintf(stderr, "%s: %s\n", verb.name, spec->serviceWhy);
+            return false;
+        }
+        opt->seen |= uint64_t(1) << (spec - kOptions);
+        if (spec->kind == Kind::Flag) {
+            opt->*std::get<bool Options::*>(spec->field) = true;
+            continue;
+        }
+        if (i + 1 >= argc) {
+            std::fprintf(stderr, "missing value for %s\n", spec->name);
+            return false;
+        }
+        const char *text = argv[++i];
+        if (!setValue(*spec, text, opt)) {
+            std::fprintf(stderr, "%s: bad %s '%s' (want %s)\n", verb.name,
+                         spec->name, text, expected(*spec).c_str());
+            return false;
+        }
+    }
+    for (const Field &field : verb.required) {
+        if (!opt->given(field)) {
+            std::fprintf(stderr, "%s: requires %s\n", verb.name,
+                         optionUsage(optionFor(field)).c_str());
+            return false;
+        }
+    }
+    return true;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Options opt;
-    if (!parseArgs(argc, argv, &opt)) {
+    for (const VerbSpec &verb : kVerbs) {
+        if (argc >= 2 && verb.name == std::string(argv[1]))
+            opt.verb = &verb;
+    }
+    if (!opt.verb) {
         usage();
         return 1;
     }
-    if (opt.command != "merge" && !opt.inputs.empty()) {
-        std::fprintf(stderr, "unexpected argument '%s'\n",
-                     opt.inputs.front().c_str());
+    if (!parseArgs(argc, argv, &opt))
         return 1;
-    }
-    // Options that other commands would silently ignore are errors: a
-    // user who asked for a grid slice must not get the full grid.
-    if (opt.shard && opt.command != "sweep") {
-        std::fprintf(stderr, "--shard only applies to 'sweep'\n");
-        return 1;
-    }
-    if (opt.traceDir && opt.command != "sweep" &&
-        opt.command != "compare" && opt.command != "suite" &&
-        opt.command != "serve") {
-        std::fprintf(stderr,
-                     "--trace-dir only applies to the engine commands "
-                     "(sweep, compare, suite, serve)\n");
-        return 1;
-    }
-    if (opt.suiteSet && opt.command != "list" && opt.command != "compare" &&
-        opt.command != "suite" && opt.command != "sweep" &&
-        opt.command != "perf" && opt.command != "submit") {
-        std::fprintf(stderr,
-                     "--suite only applies to list, compare, suite, "
-                     "sweep, perf, and submit\n");
-        return 1;
-    }
-    const bool service_command =
-        opt.command == "serve" || opt.command == "submit" ||
-        opt.command == "status" || opt.command == "result" ||
-        opt.command == "cancel" || opt.command == "ping" ||
-        opt.command == "metrics";
-    const bool client_command = service_command && opt.command != "serve";
-    if (service_command && opt.socket.empty()) {
-        std::fprintf(stderr, "%s: requires --socket PATH\n",
-                     opt.command.c_str());
-        return 1;
-    }
-    if (!opt.socket.empty() && !service_command) {
-        std::fprintf(stderr,
-                     "--socket only applies to the service commands "
-                     "(serve, submit, status, result, cancel, ping, "
-                     "metrics)\n");
-        return 1;
-    }
-    if (opt.wait && opt.command != "submit") {
-        std::fprintf(stderr, "--wait only applies to 'submit'\n");
-        return 1;
-    }
-    if (opt.jobId && opt.command != "status" && opt.command != "result" &&
-        opt.command != "cancel") {
-        std::fprintf(stderr,
-                     "--job only applies to 'status', 'result', and "
-                     "'cancel'\n");
-        return 1;
-    }
-    if (opt.queueDepthSet && opt.command != "serve") {
-        std::fprintf(stderr, "--queue-depth only applies to 'serve'\n");
-        return 1;
-    }
-    if (!opt.peers.empty() && opt.command != "serve") {
-        std::fprintf(stderr, "--peers only applies to 'serve'\n");
-        return 1;
-    }
-    if (!opt.listenTcp.empty() && opt.command != "serve") {
-        std::fprintf(stderr, "--listen-tcp only applies to 'serve'\n");
-        return 1;
-    }
-    if (opt.sliceDeadlineSet && opt.command != "serve") {
-        std::fprintf(stderr,
-                     "--slice-deadline-sec only applies to 'serve'\n");
-        return 1;
-    }
-    if (opt.statusJson && opt.command != "status" &&
-        opt.command != "metrics") {
-        std::fprintf(stderr,
-                     "--json only applies to 'status' and 'metrics'\n");
-        return 1;
-    }
-    if (opt.jobTraceDir && opt.command != "serve") {
-        std::fprintf(stderr, "--job-trace-dir only applies to 'serve'\n");
-        return 1;
-    }
-    if (opt.trace && opt.command != "submit") {
-        std::fprintf(stderr, "--trace only applies to 'submit'\n");
-        return 1;
-    }
-    if (opt.cacheDir && opt.command != "serve") {
-        std::fprintf(stderr, "--cache-dir only applies to 'serve'\n");
-        return 1;
-    }
-    if (opt.deadlineSecSet && opt.command != "serve" &&
-        opt.command != "submit") {
-        std::fprintf(stderr,
-                     "--deadline-sec only applies to 'serve' (daemon "
-                     "default) and 'submit' (per job)\n");
-        return 1;
-    }
-    if ((opt.timeoutSet || opt.retriesSet) && !client_command) {
-        // A daemon has no read deadline by design (idle sessions are
-        // free and end at drain); accepting these on serve or a local
-        // command would look like they did something.
-        std::fprintf(stderr,
-                     "--timeout/--retries only apply to the client "
-                     "verbs (submit, status, result, cancel, ping)\n");
-        return 1;
-    }
-    if (service_command && opt.command != "submit" &&
-        (opt.instsSet || opt.benches != "all" || opt.cores != "all" ||
-         opt.seed)) {
-        // Grid shape travels with `submit`; on the daemon or the other
-        // client verbs these would be silently meaningless.
-        std::fprintf(stderr,
-                     "%s: --insts/--benches/--cores/--seed shape a "
-                     "submit, not this command\n",
-                     opt.command.c_str());
-        return 1;
-    }
-    if (opt.formatSet && service_command && opt.command != "submit") {
-        std::fprintf(stderr,
-                     "--format travels with 'submit' (the artifact "
-                     "format is fixed at submission)\n");
-        return 1;
-    }
-    if (opt.out &&
-        (opt.command == "serve" || opt.command == "ping" ||
-         opt.command == "status" || opt.command == "cancel" ||
-         opt.command == "metrics")) {
-        std::fprintf(stderr,
-                     "--out only applies to 'submit' and 'result' among "
-                     "the service commands\n");
-        return 1;
-    }
-    if (opt.jobs != 0 && service_command && opt.command != "serve") {
-        // Parallelism is the daemon's --jobs; accepting it on a client
-        // verb would look like it parallelized the request.
-        std::fprintf(stderr,
-                     "--jobs applies to the daemon ('serve'), not to "
-                     "%s\n",
-                     opt.command.c_str());
-        return 1;
-    }
-    if (service_command &&
-        (opt.l2Latency || opt.memLatency || opt.poisonBits ||
-         opt.trigger || opt.blockingRally || opt.noMtRally)) {
-        // The daemon runs every variant at Table 1 defaults; accepting
-        // a config override here and ignoring it would return silently
-        // wrong data under the submit==sweep byte-identity promise.
-        std::fprintf(stderr,
-                     "%s: config overrides (--l2-lat/--mem-lat/"
-                     "--poison-bits/--trigger/--blocking-rally/"
-                     "--no-mt-rally) are not supported over the service;"
-                     " use 'sweep'\n",
-                     opt.command.c_str());
-        return 1;
-    }
-    if (opt.suiteSet && !SuiteRegistry::instance().has(opt.suite)) {
-        std::fprintf(stderr,
-                     "unknown suite '%s' (see 'icfp-sim suites')\n",
+    if (opt.given(&Options::suite) &&
+        !SuiteRegistry::instance().has(opt.suite)) {
+        std::fprintf(stderr, "unknown suite '%s' (see 'icfp-sim suites')\n",
                      opt.suite.c_str());
         return 1;
     }
-    if (opt.command == "list")
-        return cmdList(opt);
-    if (opt.command == "suites")
-        return cmdSuites();
-    if (opt.command == "cores")
-        return cmdCores();
-    if (opt.command == "run")
-        return cmdRun(opt);
-    if (opt.command == "compare")
-        return cmdCompare(opt);
-    if (opt.command == "suite")
-        return cmdSuite(opt);
-    if (opt.command == "sweep")
-        return cmdSweep(opt);
-    if (opt.command == "merge")
-        return cmdMerge(opt);
-    if (opt.command == "perf")
-        return cmdPerf(opt);
-    if (opt.command == "trace")
-        return cmdTrace(opt);
-    if (opt.command == "disasm")
-        return cmdDisasm(opt);
-    if (opt.command == "version")
-        return cmdVersion();
-    if (opt.command == "serve")
-        return cmdServe(opt);
-    if (opt.command == "submit")
-        return cmdSubmit(opt);
-    if (opt.command == "status" || opt.command == "result")
-        return cmdStatusOrResult(opt);
-    if (opt.command == "cancel")
-        return cmdCancel(opt);
-    if (opt.command == "ping")
-        return cmdPing(opt);
-    if (opt.command == "metrics")
-        return cmdMetrics(opt);
-    usage();
-    return 1;
+    return opt.verb->run(opt);
 }
