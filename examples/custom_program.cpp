@@ -51,7 +51,7 @@ buildListSum(size_t segment_bytes, unsigned nodes)
     b.bne(1, 0, loop);
     b.li(1, 0);       // wrap to the head and walk again
     b.jmp(loop);
-    return b.build("list-sum");
+    return std::move(b).build("list-sum");
 }
 
 } // namespace

@@ -39,7 +39,7 @@ loopProgram(const char *name, size_t data_bytes,
     b.addi(21, 21, 1);
     b.blt(21, 20, loop);
     b.halt();
-    return b.build(name);
+    return std::move(b).build(name);
 }
 
 void
@@ -130,7 +130,7 @@ main()
         b.halt();
         runScenario(
             "Figure 1c/1d: independent chains of dependent misses",
-            b.build("chains"),
+            std::move(b).build("chains"),
             "Blocking rallies (SLTP) serialize the two chains; iCFP's "
             "non-blocking rallies overlap B with F.");
     }

@@ -50,7 +50,7 @@ main()
     b.blt(4, 3, loop);
     b.halt();
 
-    const Program program = b.build("quickstart");
+    const Program program = std::move(b).build("quickstart");
     const Trace trace = Interpreter::run(program, 20000);
     std::printf("program: %zu static / %zu dynamic instructions\n",
                 program.numInstructions(), trace.size());

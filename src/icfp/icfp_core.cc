@@ -1004,7 +1004,7 @@ ICfpCore::run(const Trace &trace)
     const RegFileState final_regs = rf0_.values();
     for (int r = 1; r < kNumRegs; ++r)
         ICFP_ASSERT(final_regs[r] == trace.finalRegs[r]);
-    ICFP_ASSERT(memImage_.matchesFinal(trace.finalMemory, trace.dirty()));
+    ICFP_ASSERT(memImage_.delta() == trace.finalDelta);
 
     result_.cycles = cycle_;
     finishStats(&result_);

@@ -1,37 +1,11 @@
 #include "isa/interpreter.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace icfp {
-
-namespace {
-
-/**
- * Dirty-word list from the store addresses the run actually touched:
- * sort + dedup the touched words and keep those whose final value
- * differs from the initial image. O(stores log stores) — the full-image
- * diff scan this replaces was the single largest trace-generation cost
- * on benchmarks with multi-megabyte data segments.
- */
-std::shared_ptr<const std::vector<Addr>>
-dirtyFromTouched(std::vector<Addr> touched, const MemoryImage &initial,
-                 const MemoryImage &final_image)
-{
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()),
-                  touched.end());
-    std::vector<Addr> dirty;
-    dirty.reserve(touched.size());
-    for (const Addr addr : touched) {
-        if (initial.read(addr) != final_image.read(addr))
-            dirty.push_back(addr);
-    }
-    return std::make_shared<const std::vector<Addr>>(std::move(dirty));
-}
-
-} // namespace
 
 RegVal
 Interpreter::evaluate(Opcode op, RegVal a, RegVal b, int64_t imm)
@@ -67,9 +41,10 @@ Interpreter::branchTaken(Opcode op, RegVal a, RegVal b)
 }
 
 Trace
-Interpreter::run(const Program &program, uint64_t max_insts)
+Interpreter::run(Program program, uint64_t max_insts)
 {
-    return run(std::make_shared<Program>(program), max_insts);
+    return run(std::make_shared<const Program>(std::move(program)),
+               max_insts);
 }
 
 Trace
@@ -87,11 +62,11 @@ Interpreter::run(std::shared_ptr<const Program> program_ptr,
     // clamp, normal amortized growth takes over.
     constexpr uint64_t kMaxUpfrontReserve = uint64_t{1} << 25;
     trace.insts.reserve(std::min(max_insts, kMaxUpfrontReserve));
-    trace.finalMemory = program.initialMemory;
 
+    // Stores go to an overlay over the program's image, so the image is
+    // never copied and the final memory falls out as a delta.
     RegFileState regs{};
-    MemoryImage &mem = trace.finalMemory;
-    std::vector<Addr> touched; ///< store targets, for the dirty-word list
+    MemOverlay mem(&program.initialMemory);
 
     uint32_t pc = 0;
     const auto code_size = static_cast<uint32_t>(program.code.size());
@@ -121,9 +96,7 @@ Interpreter::run(std::shared_ptr<const Program> program_ptr,
             di.nextPc = pc;
             trace.halted = true;
             trace.finalRegs = regs;
-            trace.dirtyWords = dirtyFromTouched(
-                std::move(touched), program.initialMemory,
-                trace.finalMemory);
+            trace.finalDelta = mem.delta();
             return trace;
           case Opcode::Ld:
             di.addr = mem.wrap(a + static_cast<RegVal>(si.imm));
@@ -133,7 +106,6 @@ Interpreter::run(std::shared_ptr<const Program> program_ptr,
             di.addr = mem.wrap(a + static_cast<RegVal>(si.imm));
             di.value = b;
             mem.write(di.addr, b);
-            touched.push_back(di.addr);
             break;
           case Opcode::Beq:
           case Opcode::Bne:
@@ -169,9 +141,7 @@ Interpreter::run(std::shared_ptr<const Program> program_ptr,
     }
 
     trace.finalRegs = regs;
-    trace.dirtyWords = dirtyFromTouched(std::move(touched),
-                                        program.initialMemory,
-                                        trace.finalMemory);
+    trace.finalDelta = mem.delta();
     return trace;
 }
 

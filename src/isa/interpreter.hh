@@ -88,21 +88,13 @@ struct Trace
     std::shared_ptr<const Program> program;
     std::vector<DynInst> insts;
     RegFileState finalRegs{};
-    MemoryImage finalMemory;
-    bool halted = false; ///< reached Halt (vs. instruction budget)
-
     /**
-     * Word addresses where finalMemory differs from the program's
-     * initial image (MemoryImage::diffWords). Computed once at trace
-     * generation / load and shared; lets replay verification check a
-     * MemOverlay in O(stored words) instead of comparing whole images.
-     * Null for hand-assembled traces — verifiers then fall back to the
-     * full-image scan.
+     * Final memory, as its difference from program->initialMemory
+     * (MemOverlay::delta). Replays check their own overlay against it,
+     * and trace_io stores it as is; the full final image is never built.
      */
-    std::shared_ptr<const std::vector<Addr>> dirtyWords;
-
-    /** The dirty-word list, or nullptr when not precomputed. */
-    const std::vector<Addr> *dirty() const { return dirtyWords.get(); }
+    MemDelta finalDelta;
+    bool halted = false; ///< reached Halt (vs. instruction budget)
 
     size_t size() const { return insts.size(); }
     const DynInst &operator[](size_t i) const { return insts[i]; }
@@ -116,17 +108,14 @@ class Interpreter
      * Execute @p program from instruction 0 until Halt or until
      * @p max_insts instructions have retired.
      *
-     * @param program the static program (not modified)
+     * @param program the static program, owned by the trace (pass a
+     *        temporary or std::move to avoid copying its data image)
      * @param max_insts dynamic instruction budget
      * @return the complete trace
      */
-    static Trace run(const Program &program, uint64_t max_insts);
+    static Trace run(Program program, uint64_t max_insts);
 
-    /**
-     * Same, sharing ownership of an existing Program instead of copying
-     * it into the trace (the copy includes the whole initial data image,
-     * which dominates generation time for short instruction budgets).
-     */
+    /** Same, sharing ownership of an existing Program. */
     static Trace run(std::shared_ptr<const Program> program,
                      uint64_t max_insts);
 

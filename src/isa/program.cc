@@ -1,5 +1,7 @@
 #include "isa/program.hh"
 
+#include <algorithm>
+
 namespace icfp {
 
 void
@@ -24,45 +26,17 @@ ProgramBuilder::validate(const Program &p)
     }
 }
 
-
-std::vector<Addr>
-MemoryImage::diffWords(const MemoryImage &other) const
+MemDelta
+MemOverlay::delta() const
 {
-    ICFP_ASSERT(words_.size() == other.words_.size());
-    std::vector<Addr> dirty;
-    for (size_t i = 0; i < words_.size(); ++i) {
-        if (words_[i] != other.words_[i])
-            dirty.push_back(static_cast<Addr>(i) * kWordBytes);
-    }
-    return dirty;
-}
-
-bool
-MemOverlay::matchesFinal(const MemoryImage &final_image,
-                         const std::vector<Addr> *dirty_words) const
-{
-    // Every word this run wrote must hold its golden final value...
+    MemDelta delta;
+    delta.reserve(writes_.size());
     for (const auto &[addr, value] : writes_) {
-        if (final_image.read(addr) != value)
-            return false;
+        if (base_->read(addr) != value)
+            delta.emplace_back(addr, value);
     }
-    if (dirty_words) {
-        // ...and every word the golden run changed must have been
-        // written here (an unwritten word still shows the base value,
-        // which on a dirty word differs from final by definition).
-        for (const Addr addr : *dirty_words) {
-            if (writes_.find(addr) == writes_.end())
-                return false;
-        }
-        return true;
-    }
-    // No precomputed diff (hand-built trace): full scan.
-    const size_t bytes = final_image.sizeBytes();
-    for (Addr addr = 0; addr < bytes; addr += kWordBytes) {
-        if (read(addr) != final_image.read(addr))
-            return false;
-    }
-    return true;
+    std::sort(delta.begin(), delta.end());
+    return delta;
 }
 
 } // namespace icfp

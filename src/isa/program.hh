@@ -7,8 +7,11 @@
 #ifndef ICFP_ISA_PROGRAM_HH
 #define ICFP_ISA_PROGRAM_HH
 
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -18,26 +21,84 @@
 namespace icfp {
 
 /**
+ * Allocator for MemoryImage words. Storage comes from calloc, so it is
+ * already zero and value-initialisation is a no-op: a large image is a
+ * fresh anonymous mapping whose pages are faulted in only when written.
+ * Only sound for storage that is never shrunk and regrown in place
+ * (the regrown tail would keep stale words) — MemoryImage::resize
+ * always allocates afresh.
+ */
+template <typename T>
+struct ZeroedAllocator
+{
+    using value_type = T;
+
+    ZeroedAllocator() = default;
+
+    template <typename U>
+    ZeroedAllocator(const ZeroedAllocator<U> &)
+    {}
+
+    T *
+    allocate(size_t n)
+    {
+        void *p = std::calloc(n, sizeof(T));
+        if (!p)
+            throw std::bad_alloc();
+        return static_cast<T *>(p);
+    }
+
+    void deallocate(T *p, size_t) { std::free(p); }
+
+    /** Value-initialisation: calloc already zeroed the word. */
+    template <typename U>
+    void
+    construct(U *)
+    {}
+
+    template <typename U, typename... Args>
+    void
+    construct(U *p, Args &&...args)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+    }
+
+    template <typename U>
+    bool
+    operator==(const ZeroedAllocator<U> &) const
+    {
+        return true;
+    }
+};
+
+/**
  * Flat byte-addressed data memory, accessed at 8-byte word granularity.
  *
  * The size is a power of two; effective addresses are wrapped into the
  * segment and aligned down to a word, so every program is memory-safe by
- * construction.
+ * construction. Words start zeroed without being written (see
+ * ZeroedAllocator), so a multi-megabyte image costs resident memory
+ * only for the pages its workload initialises.
  */
 class MemoryImage
 {
   public:
+    using Words = std::vector<RegVal, ZeroedAllocator<RegVal>>;
+
     MemoryImage() = default;
 
     explicit MemoryImage(size_t size_bytes) { resize(size_bytes); }
 
-    /** @param size_bytes must be a power of two and >= 8 */
+    /**
+     * Replace the contents with @p size_bytes of zeroes.
+     * @param size_bytes must be a power of two and >= 8
+     */
     void
     resize(size_t size_bytes)
     {
         ICFP_ASSERT(size_bytes >= kWordBytes);
         ICFP_ASSERT((size_bytes & (size_bytes - 1)) == 0);
-        words_.assign(size_bytes / kWordBytes, 0);
+        words_ = Words(size_bytes / kWordBytes);
         mask_ = size_bytes - 1;
     }
 
@@ -58,35 +119,31 @@ class MemoryImage
         words_[wrap(addr) / kWordBytes] = value;
     }
 
-    /** Raw word storage (bulk scans: trace I/O, image diffing). */
-    const std::vector<RegVal> &words() const { return words_; }
-
-    /**
-     * Word addresses at which @p other differs from this image (both
-     * must be the same size). Sorted ascending. One linear scan — meant
-     * to run once per golden trace, so replays can verify against the
-     * diff instead of comparing whole multi-megabyte images.
-     */
-    std::vector<Addr> diffWords(const MemoryImage &other) const;
+    /** Raw word storage (bulk scans and storage-identity checks). */
+    const Words &words() const { return words_; }
 
     bool operator==(const MemoryImage &other) const = default;
 
   private:
-    std::vector<RegVal> words_;
+    Words words_;
     Addr mask_ = 0;
 };
 
 /**
+ * A memory difference: (word address, value) pairs sorted by strictly
+ * ascending address, naming every word that differs from a base image.
+ */
+using MemDelta = std::vector<std::pair<Addr, RegVal>>;
+
+/**
  * Copy-on-write view over a base MemoryImage.
  *
- * Timing cores used to start every run by copying the benchmark's whole
- * initial data image (up to tens of megabytes) and end it by comparing
- * their copy against the golden final image — a fixed cost that dwarfed
- * actual replay work on short runs. The overlay keeps the base read-only
- * and tracks only the words the core actually stores; verification
- * checks the written words against the golden final image plus the
- * trace's precomputed dirty-word list (Trace::dirtyWords), which is
- * exactly as strong as the full-image compare.
+ * The base stays read-only and shared; the overlay keeps only the words
+ * stored through it. The golden interpreter runs on one to produce a
+ * trace's final memory as a delta (Trace::finalDelta), and every timing
+ * core runs on one and ends with delta() == trace.finalDelta. Two views
+ * over the same base are equal exactly when their deltas are, so that
+ * check is as strong as comparing whole images, at O(stored words).
  */
 class MemOverlay
 {
@@ -119,14 +176,10 @@ class MemOverlay
     }
 
     /**
-     * Does this view (base + overlay writes) equal @p final_image?
-     *
-     * With @p dirty_words — the word addresses where the final image
-     * differs from the base (see MemoryImage::diffWords) — the check is
-     * O(written words). Without it, falls back to a full-image scan.
+     * The words where this view differs from the base. A word stored
+     * back to its base value is not part of the delta.
      */
-    bool matchesFinal(const MemoryImage &final_image,
-                      const std::vector<Addr> *dirty_words) const;
+    MemDelta delta() const;
 
   private:
     const MemoryImage *base_ = nullptr;
@@ -153,7 +206,7 @@ struct Program
  *   b.ld(1, 1, 0);          // r1 = MEM[r1]
  *   b.bne(1, 0, loop);      // while (r1 != 0)
  *   b.halt();
- *   Program p = b.build();
+ *   Program p = std::move(b).build();
  * @endcode
  */
 class ProgramBuilder
@@ -293,10 +346,11 @@ class ProgramBuilder
 
     MemoryImage &memory() { return program_.initialMemory; }
 
+    /** Finish the program, moving the code and image out (no copy). */
     Program
-    build(std::string name = "program")
+    build(std::string name = "program") &&
     {
-        Program p = program_;
+        Program p = std::move(program_);
         p.name = std::move(name);
         validate(p);
         return p;

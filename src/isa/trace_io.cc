@@ -160,14 +160,14 @@ class Reader
         return s;
     }
 
-  private:
     void
     need(size_t n)
     {
-        if (at_ + n > bytes_.size())
+        if (n > bytes_.size() - at_)
             ICFP_FATAL("trace stream truncated");
     }
 
+  private:
     std::string bytes_;
     size_t at_ = 0;
 };
@@ -189,9 +189,15 @@ readMemoryImage(Reader &r)
         bytes > (uint64_t{1} << 36)) {
         ICFP_FATAL("trace stream corrupt: bad memory image size");
     }
+    r.need(bytes); // before allocating: the size is untrusted
+    // The image starts zeroed; writing only the non-zero words leaves
+    // the pages a workload never initialised unfaulted.
     MemoryImage mem(bytes);
-    for (Addr a = 0; a < bytes; a += kWordBytes)
-        mem.write(a, r.u64());
+    for (Addr a = 0; a < bytes; a += kWordBytes) {
+        const RegVal value = r.u64();
+        if (value != 0)
+            mem.write(a, value);
+    }
     return mem;
 }
 
@@ -288,21 +294,13 @@ writeTrace(std::ostream &os, const Trace &trace)
     for (RegVal v : trace.finalRegs)
         w.u64(v);
 
-    // The final memory image is stored as a delta against the initial
-    // image (count + (addr, value) pairs): workload data segments run to
-    // tens of megabytes while a run touches a tiny fraction, so this
-    // halves file size and gives readTrace the dirty-word list for free.
-    std::vector<Addr> local_dirty;
-    const std::vector<Addr> *dirty = trace.dirty();
-    if (!dirty) {
-        local_dirty =
-            trace.program->initialMemory.diffWords(trace.finalMemory);
-        dirty = &local_dirty;
-    }
-    w.u64(dirty->size());
-    for (const Addr addr : *dirty) {
+    // The final memory is stored as its delta against the initial image
+    // (count + ascending (addr, value) pairs): workload data segments
+    // run to tens of megabytes while a run touches a tiny fraction.
+    w.u64(trace.finalDelta.size());
+    for (const auto &[addr, value] : trace.finalDelta) {
         w.u64(addr);
-        w.u64(trace.finalMemory.read(addr));
+        w.u64(value);
     }
     w.u8(trace.halted ? 1 : 0);
 }
@@ -339,25 +337,28 @@ readTrace(std::istream &is)
     for (RegVal &v : trace.finalRegs)
         v = r.u64();
 
-    // Reconstruct the final image from the initial image + dirty deltas.
-    trace.finalMemory = trace.program->initialMemory;
-    const uint64_t dirty_count = r.u64();
-    if (dirty_count > trace.finalMemory.sizeBytes() / kWordBytes)
+    // The delta must be exactly what MemOverlay::delta would produce:
+    // aligned in-segment addresses, strictly ascending (replays compare
+    // deltas for equality), each changing its word.
+    const MemoryImage &initial = trace.program->initialMemory;
+    const uint64_t delta_count = r.u64();
+    if (delta_count > initial.sizeBytes() / kWordBytes)
         ICFP_FATAL("trace stream corrupt: oversized memory delta");
-    std::vector<Addr> dirty;
-    dirty.reserve(dirty_count);
-    for (uint64_t i = 0; i < dirty_count; ++i) {
+    r.need(delta_count * 2 * sizeof(uint64_t)); // before reserving
+    trace.finalDelta.reserve(delta_count);
+    for (uint64_t i = 0; i < delta_count; ++i) {
         const Addr addr = r.u64();
         const RegVal value = r.u64();
-        if (trace.finalMemory.wrap(addr) != addr)
+        if (initial.wrap(addr) != addr)
             ICFP_FATAL("trace stream corrupt: unaligned delta address");
-        if (trace.finalMemory.read(addr) == value)
+        if (!trace.finalDelta.empty() &&
+            addr <= trace.finalDelta.back().first) {
+            ICFP_FATAL("trace stream corrupt: memory delta not ascending");
+        }
+        if (initial.read(addr) == value)
             ICFP_FATAL("trace stream corrupt: identity delta");
-        trace.finalMemory.write(addr, value);
-        dirty.push_back(addr);
+        trace.finalDelta.emplace_back(addr, value);
     }
-    trace.dirtyWords =
-        std::make_shared<const std::vector<Addr>>(std::move(dirty));
     trace.halted = r.u8() != 0;
     return trace;
 }

@@ -14,7 +14,8 @@
  *   program: name, code (one record per instruction), data image
  *   dynamic instructions (count + packed records: pc, nextPc, op,
  *     dst/src1/src2, addr, value, flags)
- *   final register file, final memory image, halted flag
+ *   final register file, final memory as a delta against the initial
+ *     image (count + ascending (addr, value) pairs), halted flag
  */
 
 #ifndef ICFP_ISA_TRACE_IO_HH

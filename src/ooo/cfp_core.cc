@@ -377,7 +377,7 @@ CfpCore::run(const Trace &trace)
     }
 
     postCommitSb_.flush(&memory);
-    ICFP_ASSERT(memory.matchesFinal(trace.finalMemory, trace.dirty()));
+    ICFP_ASSERT(memory.delta() == trace.finalDelta);
 
     result.cycles = cycle_;
     result.slicedInsts = slicedInsts_;

@@ -303,7 +303,7 @@ RunaheadCore::run(const Trace &trace)
     }
 
     sb.flush(&memory);
-    ICFP_ASSERT(memory.matchesFinal(trace.finalMemory, trace.dirty()));
+    ICFP_ASSERT(memory.delta() == trace.finalDelta);
 
     result_.cycles = cycle_;
     finishStats(&result_);

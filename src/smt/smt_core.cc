@@ -144,8 +144,7 @@ SmtInOrderCore::run(const Trace &t0, const Trace &t1)
     for (unsigned tid = 0; tid < 2; ++tid) {
         ThreadContext &thread = threads_[tid];
         thread.sb->drain(kCycleNever - 1, &thread.memory);
-        ICFP_ASSERT(thread.memory.matchesFinal(thread.trace->finalMemory,
-                                               thread.trace->dirty()));
+        ICFP_ASSERT(thread.memory.delta() == thread.trace->finalDelta);
         result.instructions[tid] = thread.trace->size();
         result.finishedAt[tid] = thread.finishedAt;
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -353,7 +354,7 @@ buildWorkload(const WorkloadParams &p)
             b.patchTarget(site, leaf);
     }
 
-    return b.build(p.name);
+    return std::move(b).build(p.name);
 }
 
 } // namespace icfp

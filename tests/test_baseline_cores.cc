@@ -37,7 +37,7 @@ independentMissProgram(unsigned iterations, unsigned stride = 256)
     for (Addr a = 0x400000; a < 0x400000 + Addr{iterations} * stride + 8;
          a += 8)
         b.poke(a, a / 8);
-    return b.build("independent-misses");
+    return std::move(b).build("independent-misses");
 }
 
 /** Pointer chase: chains of dependent misses. */
@@ -61,7 +61,7 @@ dependentMissProgram(unsigned hops)
     b.addi(6, 6, 1);
     b.blt(6, 5, loop);
     b.halt();
-    return b.build("dependent-misses");
+    return std::move(b).build("dependent-misses");
 }
 
 Trace
@@ -84,7 +84,7 @@ TEST(RunaheadCore, CorrectOnComputeLoop)
     b.addi(6, 6, 1);
     b.blt(6, 5, loop);
     b.halt();
-    const Trace t = traceOf(b.build("compute"));
+    const Trace t = traceOf(std::move(b).build("compute"));
     RunaheadCore core(CoreParams{}, MemParams{});
     const RunResult r = core.run(t);
     EXPECT_EQ(r.advanceEntries, 0u); // everything hits after warmup
@@ -168,7 +168,7 @@ TEST(MultipassCore, ResultReuseBeatsRunaheadOnMixedWork)
     b.halt();
     for (Addr a = 0x400000; a < 0x400000 + 256 * 512 + 8; a += 8)
         b.poke(a, a);
-    const Trace t = traceOf(b.build("mixed"));
+    const Trace t = traceOf(std::move(b).build("mixed"));
     InOrderCore base(CoreParams{}, MemParams{});
     RunaheadCore ra(CoreParams{}, MemParams{});
     MultipassCore mp(CoreParams{}, MemParams{});
@@ -196,7 +196,7 @@ TEST(SltpCore, CorrectOnComputeLoop)
     b.addi(6, 6, 1);
     b.blt(6, 5, loop);
     b.halt();
-    const Trace t = traceOf(b.build("compute"));
+    const Trace t = traceOf(std::move(b).build("compute"));
     SltpCore core(CoreParams{}, MemParams{});
     const RunResult r = core.run(t);
     EXPECT_GT(r.ipc(), 0.4);

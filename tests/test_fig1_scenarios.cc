@@ -39,7 +39,7 @@ loopProgram(const char *name,
     b.addi(21, 21, 1);
     b.blt(21, 20, loop);
     b.halt();
-    return b.build(name);
+    return std::move(b).build(name);
 }
 
 struct ScenarioCycles
@@ -199,7 +199,7 @@ dependentMissProgram()
     b.addi(21, 21, 1);
     b.blt(21, 20, loop);
     b.halt();
-    return b.build("dep-miss");
+    return std::move(b).build("dep-miss");
 }
 
 TEST(Fig1c_DependentMisses, RunaheadIsIneffective)
@@ -244,7 +244,7 @@ chainsProgram()
     b.addi(21, 21, 1);
     b.blt(21, 20, loop);
     b.halt();
-    return b.build("chains");
+    return std::move(b).build("chains");
 }
 
 TEST(Fig1d_IndependentChains, RunaheadOverlapsTheChains)

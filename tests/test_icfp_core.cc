@@ -65,7 +65,7 @@ figure3Program(unsigned iterations)
         b.poke(a, (a / 8) % 97 + 1);
     for (Addr a = 0x100000; a < 0x100000 + (1 << 16); a += 8)
         b.poke(a, (a / 8) % 89 + 2);
-    return b.build("figure3");
+    return std::move(b).build("figure3");
 }
 
 TEST(ICfpCore, Figure3WorkedExample)
@@ -110,7 +110,7 @@ TEST(ICfpCore, PureComputeNeverAdvances)
     b.addi(6, 6, 1);
     b.blt(6, 5, loop);
     b.halt();
-    const RunResult r = runICfp(b.build("compute"), 50000);
+    const RunResult r = runICfp(std::move(b).build("compute"), 50000);
     EXPECT_EQ(r.advanceEntries, 0u);
     EXPECT_EQ(r.rallyInsts, 0u);
 }
@@ -133,7 +133,7 @@ TEST(ICfpCore, StoreLoadForwardingThroughChainedSb)
     b.addi(6, 6, 1);
     b.blt(6, 5, loop);
     b.halt();
-    const RunResult r = runICfp(b.build("fwd"), 50000);
+    const RunResult r = runICfp(std::move(b).build("fwd"), 50000);
     EXPECT_GT(r.sbForwards, 0u);
     EXPECT_GT(r.advanceEntries, 0u);
 }
@@ -155,7 +155,7 @@ TEST(ICfpCore, DependentMissesMakeMultiplePasses)
     b.addi(6, 6, 1);
     b.blt(6, 5, loop);
     b.halt();
-    const RunResult r = runICfp(b.build("chase"), 50000);
+    const RunResult r = runICfp(std::move(b).build("chase"), 50000);
     EXPECT_GT(r.rallyPasses, 1u);
     EXPECT_GT(r.advanceEntries, 0u);
 }

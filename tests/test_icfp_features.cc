@@ -161,7 +161,7 @@ poisonAddrStoreProgram()
     b.addi(21, 21, 1);
     b.blt(21, 20, loop);
     b.halt();
-    return b.build("poison-addr-store");
+    return std::move(b).build("poison-addr-store");
 }
 
 TEST(PoisonAddrStoreKnob, StallPolicyCountsStalls)
@@ -269,7 +269,7 @@ TEST(DegenerateInput, HaltOnlyProgramOnEveryCore)
 {
     ProgramBuilder b(64);
     b.halt();
-    const Trace trace = Interpreter::run(b.build("halt"), 100);
+    const Trace trace = Interpreter::run(std::move(b).build("halt"), 100);
     SimConfig cfg;
     for (int k = 0; k < 7; ++k) {
         const RunResult r =
@@ -293,7 +293,7 @@ TEST(DegenerateInput, StoreOnlyLoopOnEveryCore)
     b.addi(21, 21, 1);
     b.blt(21, 20, loop);
     b.halt();
-    const Trace trace = Interpreter::run(b.build("stores"), 1000);
+    const Trace trace = Interpreter::run(std::move(b).build("stores"), 1000);
     SimConfig cfg;
     for (int k = 0; k < 7; ++k) {
         const RunResult r =

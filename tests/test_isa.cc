@@ -6,8 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <utility>
+
 #include "isa/interpreter.hh"
 #include "isa/program.hh"
+
+#if defined(__linux__)
+#include <unistd.h>
+#endif
 
 namespace icfp {
 namespace {
@@ -21,6 +29,40 @@ TEST(MemoryImage, WrapAlignsAndMasks)
     EXPECT_EQ(mem.wrap(4095), 4088u);
     EXPECT_EQ(mem.wrap(4096), 0u);      // wraps around
     EXPECT_EQ(mem.wrap(4096 + 17), 16u);
+}
+
+#if defined(__linux__) && !defined(__SANITIZE_ADDRESS__)
+/** Resident set size in bytes, from /proc/self/statm; 0 if unreadable. */
+size_t
+residentBytes()
+{
+    FILE *f = std::fopen("/proc/self/statm", "r");
+    if (!f)
+        return 0;
+    unsigned long size_pages = 0, resident_pages = 0;
+    const int got = std::fscanf(f, "%lu %lu", &size_pages, &resident_pages);
+    std::fclose(f);
+    return got == 2 ? resident_pages * static_cast<size_t>(
+                                            sysconf(_SC_PAGESIZE))
+                    : 0;
+}
+#endif
+
+TEST(MemoryImage, LargeImageStartsUnfaulted)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    GTEST_SKIP() << "ASan's allocator may touch fresh pages";
+#elif !defined(__linux__)
+    GTEST_SKIP() << "reads /proc/self/statm";
+#else
+    // Zeroing a 64 MiB image eagerly would fault in all of it.
+    const size_t before = residentBytes();
+    ASSERT_GT(before, 0u);
+    MemoryImage mem(size_t{64} << 20);
+    const size_t after = residentBytes();
+    EXPECT_LT(after - std::min(after, before), size_t{1} << 20);
+    EXPECT_EQ(mem.read((size_t{64} << 20) - kWordBytes), 0u);
+#endif
 }
 
 TEST(MemoryImage, ReadWriteRoundTrip)
@@ -77,7 +119,7 @@ TEST(Interpreter, R0IsHardwiredZero)
     b.addi(0, 0, 99); // write to r0: discarded
     b.add(1, 0, 0);   // r1 = 0 + 0
     b.halt();
-    const Trace t = Interpreter::run(b.build(), 10);
+    const Trace t = Interpreter::run(std::move(b).build(), 10);
     EXPECT_EQ(t.finalRegs[0], 0u);
     EXPECT_EQ(t.finalRegs[1], 0u);
 }
@@ -90,9 +132,9 @@ TEST(Interpreter, LoadStoreSemantics)
     b.st(2, 1, 8);   // MEM[136] = 0x1234
     b.ld(3, 1, 8);   // r3 = MEM[136]
     b.halt();
-    const Trace t = Interpreter::run(b.build(), 10);
+    const Trace t = Interpreter::run(std::move(b).build(), 10);
     EXPECT_EQ(t.finalRegs[3], 0x1234u);
-    EXPECT_EQ(t.finalMemory.read(136), 0x1234u);
+    EXPECT_EQ(t.finalDelta, (MemDelta{{136, 0x1234}}));
     EXPECT_EQ(t.insts[2].addr, 136u);
     EXPECT_EQ(t.insts[2].storeValue(), 0x1234u);
     EXPECT_EQ(t.insts[3].result(), 0x1234u);
@@ -107,7 +149,7 @@ TEST(Interpreter, LoopExecutesExactly)
     b.addi(1, 1, 1);
     b.blt(1, 2, loop);
     b.halt();
-    const Trace t = Interpreter::run(b.build(), 1000);
+    const Trace t = Interpreter::run(std::move(b).build(), 1000);
     EXPECT_TRUE(t.halted);
     EXPECT_EQ(t.finalRegs[1], 10u);
     // 2 setup + 10*(addi+blt) + halt
@@ -125,7 +167,7 @@ TEST(Interpreter, CallAndReturn)
     // leaf:
     b.addi(1, 1, 10);
     b.ret();
-    const Trace t = Interpreter::run(b.build(), 100);
+    const Trace t = Interpreter::run(std::move(b).build(), 100);
     EXPECT_TRUE(t.halted);
     EXPECT_EQ(t.finalRegs[1], 15u);
     EXPECT_EQ(t.finalRegs[2], 16u);
@@ -142,7 +184,7 @@ TEST(Interpreter, InstructionBudgetStopsRun)
     b.addi(1, 1, 1);
     b.jmp(loop);
     b.halt();
-    const Trace t = Interpreter::run(b.build(), 50);
+    const Trace t = Interpreter::run(std::move(b).build(), 50);
     EXPECT_FALSE(t.halted);
     EXPECT_EQ(t.size(), 50u);
 }
@@ -154,7 +196,7 @@ TEST(Interpreter, TraceRecordsBranchOutcomes)
     b.beq(1, 0, 3); // not taken
     b.halt();
     b.nop();
-    const Trace t = Interpreter::run(b.build(), 10);
+    const Trace t = Interpreter::run(std::move(b).build(), 10);
     EXPECT_FALSE(t.insts[1].taken());
     EXPECT_EQ(t.insts[1].nextPc, 2u);
 }
@@ -220,8 +262,19 @@ TEST(ProgramBuilder, TracksLabelsAndPatching)
     b.jmp(0);
     b.halt();
     b.patchTarget(site, 2);
-    const Program p = b.build();
+    const Program p = std::move(b).build();
     EXPECT_EQ(p.code[site].target, 2u);
+}
+
+TEST(ProgramBuilder, BuildMovesTheImageOut)
+{
+    ProgramBuilder b(4096);
+    b.poke(8, 42);
+    b.halt();
+    const RegVal *storage = b.memory().words().data();
+    const Program p = std::move(b).build();
+    EXPECT_EQ(p.initialMemory.words().data(), storage);
+    EXPECT_EQ(p.initialMemory.read(8), 42u);
 }
 
 } // namespace

@@ -36,7 +36,7 @@ aluProgram()
     b.addi(5, 5, 1);
     b.blt(5, 9, loop);
     b.halt();
-    return b.build("alu");
+    return std::move(b).build("alu");
 }
 
 /** Independent-miss streaming kernel (cold, strided). */

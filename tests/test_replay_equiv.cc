@@ -17,12 +17,15 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "isa/trace_io.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
+#include "trace_oracle.hh"
+#include "workloads/suite_registry.hh"
 
 namespace icfp {
 namespace {
@@ -103,16 +106,11 @@ TEST(ReplayEquiv, PackedTraceRoundTripsThroughTraceIo)
         EXPECT_EQ(u[i].flags, t[i].flags);
     }
     EXPECT_EQ(u.finalRegs, t.finalRegs);
-    EXPECT_EQ(u.finalMemory, t.finalMemory);
+    EXPECT_EQ(u.finalDelta, t.finalDelta);
     EXPECT_EQ(u.halted, t.halted);
 
-    // The delta-encoded final image hands the reader the dirty-word
-    // list; it must equal a from-scratch diff of the images.
-    ASSERT_NE(t.dirty(), nullptr);
-    ASSERT_NE(u.dirty(), nullptr);
-    EXPECT_EQ(*u.dirty(), *t.dirty());
-    EXPECT_EQ(*u.dirty(),
-              u.program->initialMemory.diffWords(u.finalMemory));
+    // The reloaded delta must equal one rebuilt from the trace's stores.
+    EXPECT_EQ(u.finalDelta, storeReplayDelta(u));
 }
 
 TEST(ReplayEquiv, EveryCoreIdenticalStatsAcrossRoundTripAndRerun)
@@ -153,52 +151,44 @@ TEST(ReplayEquiv, MemOverlayVerificationMatchesFullCompare)
     MemoryImage final_image = base;
     final_image.write(64, 33);
     final_image.write(128, 44);
-    const std::vector<Addr> dirty = base.diffWords(final_image);
-    EXPECT_EQ(dirty, (std::vector<Addr>{64, 128}));
+    const MemDelta golden{{64, 33}, {128, 44}};
 
-    // Exactly the golden writes: passes with and without the diff.
-    MemOverlay good(&base);
-    good.write(64, 33);
-    good.write(128, 44);
-    EXPECT_TRUE(good.matchesFinal(final_image, &dirty));
-    EXPECT_TRUE(good.matchesFinal(final_image, nullptr));
-
-    // Rewriting a word with its unchanged base value is still a match.
-    MemOverlay rewrite(&base);
-    rewrite.write(64, 33);
-    rewrite.write(128, 44);
-    rewrite.write(0, 11);
-    EXPECT_TRUE(rewrite.matchesFinal(final_image, &dirty));
-    EXPECT_TRUE(rewrite.matchesFinal(final_image, nullptr));
-
-    // A missing golden write must fail.
-    MemOverlay missing(&base);
-    missing.write(64, 33);
-    EXPECT_FALSE(missing.matchesFinal(final_image, &dirty));
-    EXPECT_FALSE(missing.matchesFinal(final_image, nullptr));
-
-    // A wrong value must fail.
-    MemOverlay wrong(&base);
-    wrong.write(64, 33);
-    wrong.write(128, 999);
-    EXPECT_FALSE(wrong.matchesFinal(final_image, &dirty));
-    EXPECT_FALSE(wrong.matchesFinal(final_image, nullptr));
-
-    // A stray write the golden run never made must fail.
-    MemOverlay stray(&base);
-    stray.write(64, 33);
-    stray.write(128, 44);
-    stray.write(256, 7);
-    EXPECT_FALSE(stray.matchesFinal(final_image, &dirty));
-    EXPECT_FALSE(stray.matchesFinal(final_image, nullptr));
+    // Comparing deltas must decide every case as comparing whole
+    // images does.
+    const struct
+    {
+        const char *what;
+        std::vector<std::pair<Addr, RegVal>> writes; ///< in store order
+        bool matches;
+    } cases[] = {
+        {"exactly the golden writes", {{128, 44}, {64, 33}}, true},
+        {"a word rewritten with its base value",
+         {{64, 33}, {128, 44}, {0, 11}}, true},
+        {"a missing golden write", {{64, 33}}, false},
+        {"a wrong value", {{64, 33}, {128, 999}}, false},
+        {"a stray write", {{64, 33}, {128, 44}, {256, 7}}, false},
+    };
+    for (const auto &c : cases) {
+        MemOverlay overlay(&base);
+        MemoryImage full = base;
+        for (const auto &[addr, value] : c.writes) {
+            overlay.write(addr, value);
+            full.write(addr, value);
+        }
+        EXPECT_EQ(full == final_image, c.matches) << c.what;
+        EXPECT_EQ(overlay.delta() == golden, c.matches) << c.what;
+    }
 }
 
-TEST(ReplayEquiv, DirtyWordsComputedAtGeneration)
+TEST(ReplayEquiv, FinalDeltaMatchesStoreReplayForEveryRegisteredBench)
 {
-    const Trace t = smallBenchTrace("gzip", 5000);
-    ASSERT_NE(t.dirty(), nullptr);
-    EXPECT_EQ(*t.dirty(),
-              t.program->initialMemory.diffWords(t.finalMemory));
+    for (const std::string &suite : suiteNames()) {
+        for (const BenchmarkSpec &spec : findSuite(suite)) {
+            const Trace t = makeBenchTrace(spec, 5000);
+            EXPECT_EQ(t.finalDelta, storeReplayDelta(t))
+                << suite << "/" << spec.name;
+        }
+    }
 }
 
 } // namespace

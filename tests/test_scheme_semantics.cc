@@ -74,7 +74,7 @@ secondaryMissProgram(bool dependent)
     b.addi(21, 21, 1);
     b.blt(21, 20, loop);
     b.halt();
-    return b.build(dependent ? "fig1f" : "fig1e");
+    return std::move(b).build(dependent ? "fig1f" : "fig1e");
 }
 
 Cycle

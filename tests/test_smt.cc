@@ -2,7 +2,7 @@
  * @file
  * Tests for the 2-thread SMT in-order core (src/smt/): architectural
  * correctness of both threads through the shared pipeline (the model
- * asserts both final memory images internally), fairness/round-robin
+ * asserts both threads' final memory deltas internally), fairness/round-robin
  * behaviour, cache interference, and the throughput relations that make
  * the Section 6 trade meaningful.
  */
@@ -88,7 +88,7 @@ TEST(SmtCore, SiblingInterferenceSlowsAThread)
         Interpreter::run(buildWorkload(computeParams(6)), 8000);
     ProgramBuilder sb(64);
     sb.halt();
-    const Trace stub = Interpreter::run(sb.build("stub"), 10);
+    const Trace stub = Interpreter::run(std::move(sb).build("stub"), 10);
     WorkloadParams hog = memParams(7);
     hog.coldBytes = 16 * 1024 * 1024;
     hog.coldLoads = 3;
@@ -107,7 +107,7 @@ TEST(SmtCore, SingleThreadDegenerateCase)
     // dedicated in-order pipeline's.
     ProgramBuilder b(64);
     b.halt();
-    const Trace stub = Interpreter::run(b.build("stub"), 10);
+    const Trace stub = Interpreter::run(std::move(b).build("stub"), 10);
     const Trace real =
         Interpreter::run(buildWorkload(computeParams(8)), 8000);
     SimConfig cfg;

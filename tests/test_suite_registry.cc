@@ -5,9 +5,9 @@
  * unknown suites are clean errors, spec2000Suite() and the registered
  * "spec2000" suite are the same object, the combined nonspec suite
  * re-exports the family suites verbatim, and every new kernel family is
- * deterministic — same seed → byte-identical trace, with a dirty-word
- * list that matches the final-vs-initial memory diff replay
- * verification (MemOverlay) depends on.
+ * deterministic — same seed → byte-identical trace, with a final-memory
+ * delta that matches an independent replay of the trace's stores (the
+ * delta replay verification compares every core's MemOverlay with).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 
 #include "isa/trace_io.hh"
 #include "sim/simulator.hh"
+#include "trace_oracle.hh"
 #include "workloads/nonspec_suites.hh"
 #include "workloads/suite_registry.hh"
 
@@ -152,16 +153,14 @@ TEST_P(NonspecFamilyTest, SameSeedSameTraceBytes)
     EXPECT_FALSE(a.halted);
 }
 
-TEST_P(NonspecFamilyTest, DirtyWordsMatchFinalVsInitialDiff)
+TEST_P(NonspecFamilyTest, FinalDeltaMatchesStoreReplayOracle)
 {
-    // Replay verification checks a MemOverlay against this list instead
-    // of scanning whole images; it must be exactly the set of words the
-    // run changed.
+    // Replay verification compares each core's overlay delta with this
+    // one; it must be exactly the set of words the run changed, as an
+    // independent replay of the trace's stores onto the image finds.
     const Trace trace = makeBenchTrace(spec(), 20000);
-    ASSERT_NE(trace.dirty(), nullptr);
-    EXPECT_EQ(*trace.dirty(),
-              trace.program->initialMemory.diffWords(trace.finalMemory));
-    EXPECT_FALSE(trace.dirty()->empty()); // every family stores something
+    EXPECT_EQ(trace.finalDelta, storeReplayDelta(trace));
+    EXPECT_FALSE(trace.finalDelta.empty()); // every family stores something
 }
 
 TEST_P(NonspecFamilyTest, EveryCoreModelReplaysAndAgrees)

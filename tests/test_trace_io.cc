@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "isa/trace_io.hh"
 #include "sim/simulator.hh"
+#include "sim/trace_store.hh"
 #include "workloads/kernels.hh"
 
 namespace icfp {
@@ -31,7 +33,7 @@ sampleProgram()
     b.bne(1, 0, loop);
     b.halt();
     b.poke(8, 42);
-    return b.build("sample");
+    return std::move(b).build("sample");
 }
 
 TEST(TraceIo, ProgramRoundTrip)
@@ -72,7 +74,7 @@ TEST(TraceIo, TraceRoundTripPreservesEverything)
         EXPECT_EQ(u[i].taken(), t[i].taken());
     }
     EXPECT_EQ(u.finalRegs, t.finalRegs);
-    EXPECT_EQ(u.finalMemory, t.finalMemory);
+    EXPECT_EQ(u.finalDelta, t.finalDelta);
     EXPECT_EQ(u.halted, t.halted);
 }
 
@@ -99,11 +101,75 @@ TEST(TraceIo, FileRoundTrip)
     saveTraceFile(path, t);
     const Trace u = loadTraceFile(path);
     EXPECT_EQ(u.size(), t.size());
-    EXPECT_EQ(u.finalMemory, t.finalMemory);
+    EXPECT_EQ(u.finalDelta, t.finalDelta);
     std::remove(path.c_str());
 }
 
+TEST(TraceIo, TraceBytesPinnedForGzipAndVpr)
+{
+    // Absolute pins, not a comparison of two runs of one build: a change
+    // to the encoding or to generation that moved both runs alike would
+    // also orphan every trace-store entry. Changing these digests means
+    // bumping kTraceIoFormatVersion or kTraceGenVersion.
+    const struct
+    {
+        const char *bench;
+        uint64_t fnv;
+    } pins[] = {
+        {"gzip", 0x9394e4c9af9996b2ull},
+        {"vpr", 0xacd1c299c404153full},
+    };
+    for (const auto &pin : pins) {
+        std::ostringstream os;
+        writeTrace(os, makeBenchTrace(findBenchmark(pin.bench), 2000));
+        const std::string bytes = os.str();
+        EXPECT_EQ(fnv1a64(bytes.data(), bytes.size()), pin.fnv) << pin.bench;
+    }
+}
+
 using TraceIoDeath = ::testing::Test;
+
+/**
+ * Serialized sample trace with its last two final-memory delta pairs
+ * passed through @p edit (each pair is 16 bytes: addr, value; the
+ * halted byte follows them).
+ */
+std::string
+traceWithEditedDelta(void (*edit)(char *second_last, char *last))
+{
+    const Trace t = Interpreter::run(sampleProgram(), 500);
+    EXPECT_GE(t.finalDelta.size(), 2u);
+    std::stringstream ss;
+    writeTrace(ss, t);
+    std::string bytes = ss.str();
+    char *last = bytes.data() + bytes.size() - 1 - 16;
+    edit(last - 16, last);
+    return bytes;
+}
+
+TEST(TraceIoDeath, RejectsDuplicateDeltaAddress)
+{
+    std::stringstream bad(traceWithEditedDelta(
+        [](char *second_last, char *last) {
+            // Same address, a value that differs from both the initial
+            // word and the first pair's, so only the order check fires.
+            std::memcpy(last, second_last, 16);
+            last[8] = static_cast<char>(last[8] + 1);
+        }));
+    EXPECT_DEATH({ readTrace(bad); }, "trace stream corrupt");
+}
+
+TEST(TraceIoDeath, RejectsDescendingDeltaAddress)
+{
+    std::stringstream bad(traceWithEditedDelta(
+        [](char *second_last, char *last) {
+            char pair[16];
+            std::memcpy(pair, second_last, 16);
+            std::memcpy(second_last, last, 16);
+            std::memcpy(last, pair, 16);
+        }));
+    EXPECT_DEATH({ readTrace(bad); }, "trace stream corrupt");
+}
 
 TEST(TraceIoDeath, RejectsBadMagic)
 {
