@@ -1,12 +1,15 @@
 #include "isa/trace_io.hh"
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
-#include <vector>
 #include <fstream>
 #include <istream>
+#include <new>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -14,138 +17,119 @@ namespace icfp {
 
 namespace {
 
-// Version 2: DynInst records carry one shared value field (result /
-// store value merged) and a flags byte instead of a bool — in lockstep
-// with kTraceIoFormatVersion and the packed in-memory layout.
-constexpr char kMagic[8] = {'I', 'C', 'F', 'P', 'T', 'R', 'C', '2'};
-constexpr char kProgMagic[8] = {'I', 'C', 'F', 'P', 'P', 'R', 'G', '2'};
+static_assert(std::endian::native == std::endian::little,
+              "trace_io copies integers to and from the little-endian "
+              "stream with memcpy");
+
+// Version 3: memory images are stored sparsely, as their non-zero words
+// — in lockstep with kTraceIoFormatVersion.
+constexpr char kMagic[8] = {'I', 'C', 'F', 'P', 'T', 'R', 'C', '3'};
+constexpr char kProgMagic[8] = {'I', 'C', 'F', 'P', 'P', 'R', 'G', '3'};
+
+/** Instruction record: op, dst, src1, src2, imm, target. */
+constexpr size_t kInstRecordBytes = 4 + 8 + 4;
+/** DynInst record: pc, nextPc, op, dst, src1, src2, addr, value, flags. */
+constexpr size_t kDynInstRecordBytes = 4 + 4 + 4 + 8 + 8 + 1;
+/** One (word address, value) pair. */
+constexpr size_t kPairBytes = 8 + 8;
+
+/** Store @p v at @p at and return the byte after it. */
+template <typename T>
+char *
+put(char *at, T v)
+{
+    std::memcpy(at, &v, sizeof(v));
+    return at + sizeof(v);
+}
+
+/** Load a T from @p at and advance @p at past it. */
+template <typename T>
+T
+take(const char *&at)
+{
+    T v;
+    std::memcpy(&v, at, sizeof(v));
+    at += sizeof(v);
+    return v;
+}
 
 /**
- * Explicit little-endian primitive writer, buffered: primitives append
- * to an in-memory buffer that is flushed to the stream once, at the end
- * (per-byte ostream::put dominated serialization time for multi-million
- * instruction traces).
+ * Little-endian primitive writer appending to a string: each primitive
+ * is one memcpy, and the fixed-size record arrays are grown once and
+ * filled in place.
  */
 class Writer
 {
   public:
-    explicit Writer(std::ostream &os) : os_(os) {}
+    explicit Writer(std::string &out) : out_(out) {}
 
-    ~Writer() { flush(); }
-
-    void
-    u8(uint8_t v)
-    {
-        buffer_.push_back(static_cast<char>(v));
-    }
-
-    void
-    u32(uint32_t v)
-    {
-        for (int i = 0; i < 4; ++i)
-            u8(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    u64(uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            u8(static_cast<uint8_t>(v >> (8 * i)));
-    }
-
-    void
-    i64(int64_t v)
-    {
-        u64(static_cast<uint64_t>(v));
-    }
+    void u8(uint8_t v) { raw(&v, sizeof(v)); }
+    void u32(uint32_t v) { raw(&v, sizeof(v)); }
+    void u64(uint64_t v) { raw(&v, sizeof(v)); }
 
     void
     str(const std::string &s)
     {
         u32(static_cast<uint32_t>(s.size()));
-        buffer_.append(s);
+        raw(s.data(), s.size());
     }
 
     void
     raw(const void *data, size_t size)
     {
-        buffer_.append(static_cast<const char *>(data), size);
+        out_.append(static_cast<const char *>(data), size);
     }
 
-    void
-    flush()
+    /** Append @p n bytes for the caller to fill through put(). */
+    char *
+    grow(size_t n)
     {
-        if (buffer_.empty())
-            return;
-        os_.write(buffer_.data(),
-                  static_cast<std::streamsize>(buffer_.size()));
-        buffer_.clear();
+        const size_t at = out_.size();
+        out_.resize(at + n);
+        return out_.data() + at;
     }
 
   private:
-    std::ostream &os_;
-    std::string buffer_;
+    std::string &out_;
 };
 
 /**
- * Explicit little-endian primitive reader; fatal on truncation. The
- * whole remaining stream is slurped into memory up front and decoded
- * with bounds-checked cursor reads.
+ * Little-endian primitive reader over bytes it does not own; fatal on
+ * truncation. Fixed-size record arrays are bounds-checked once, as a
+ * whole, before anything is allocated for them (counts are untrusted).
  */
 class Reader
 {
   public:
-    explicit Reader(std::istream &is)
+    explicit Reader(std::string_view bytes)
+        : at_(bytes.data()), end_(bytes.data() + bytes.size())
+    {}
+
+    /** Consume @p n bytes, returning where they start. */
+    const char *
+    bytes(size_t n)
     {
-        // Read everything that remains (callers may have consumed a
-        // header already); decoders stop at their own counts, so any
-        // trailing bytes are simply never looked at.
-        std::string chunk(1u << 16, '\0');
-        while (is.read(chunk.data(),
-                       static_cast<std::streamsize>(chunk.size())) ||
-               is.gcount() > 0) {
-            bytes_.append(chunk.data(),
-                          static_cast<size_t>(is.gcount()));
-        }
+        if (n > static_cast<size_t>(end_ - at_))
+            ICFP_FATAL("trace stream truncated");
+        const char *p = at_;
+        at_ += n;
+        return p;
     }
 
-    uint8_t
-    u8()
-    {
-        need(1);
-        return static_cast<uint8_t>(bytes_[at_++]);
-    }
+    uint8_t u8() { return static_cast<uint8_t>(*bytes(1)); }
 
     uint32_t
     u32()
     {
-        need(4);
-        uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<uint32_t>(
-                     static_cast<uint8_t>(bytes_[at_ + i]))
-                 << (8 * i);
-        at_ += 4;
-        return v;
+        const char *p = bytes(4);
+        return take<uint32_t>(p);
     }
 
     uint64_t
     u64()
     {
-        need(8);
-        uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<uint64_t>(
-                     static_cast<uint8_t>(bytes_[at_ + i]))
-                 << (8 * i);
-        at_ += 8;
-        return v;
-    }
-
-    int64_t
-    i64()
-    {
-        return static_cast<int64_t>(u64());
+        const char *p = bytes(8);
+        return take<uint64_t>(p);
     }
 
     std::string
@@ -154,31 +138,98 @@ class Reader
         const uint32_t len = u32();
         if (len > (1u << 20))
             ICFP_FATAL("trace stream corrupt: oversized string");
-        need(len);
-        std::string s = bytes_.substr(at_, len);
-        at_ += len;
-        return s;
-    }
-
-    void
-    need(size_t n)
-    {
-        if (n > bytes_.size() - at_)
-            ICFP_FATAL("trace stream truncated");
+        return std::string(bytes(len), len);
     }
 
   private:
-    std::string bytes_;
-    size_t at_ = 0;
+    const char *at_;
+    const char *end_;
 };
 
-void
-writeMemoryImage(Writer &w, const MemoryImage &mem)
+Opcode
+checkedOpcode(uint8_t op)
 {
-    const size_t bytes = mem.sizeBytes();
-    w.u64(bytes);
-    for (Addr a = 0; a < bytes; a += kWordBytes)
-        w.u64(mem.read(a));
+    if (op > static_cast<uint8_t>(Opcode::Halt))
+        ICFP_FATAL("trace stream corrupt: bad opcode");
+    return static_cast<Opcode>(op);
+}
+
+/** The non-zero words of @p mem: the image as a delta against zeroes. */
+MemDelta
+nonZeroWords(const MemoryImage &mem)
+{
+    MemDelta out;
+    const MemoryImage::Words &words = mem.words();
+    for (size_t i = 0; i < words.size(); ++i) {
+        if (words[i] != 0)
+            out.emplace_back(i * kWordBytes, words[i]);
+    }
+    return out;
+}
+
+/** Count + ascending (word address, value) pairs. */
+void
+writeWordPairs(Writer &w, const MemDelta &pairs)
+{
+    w.u64(pairs.size());
+    char *at = w.grow(pairs.size() * kPairBytes);
+    for (const auto &[addr, value] : pairs)
+        at = put<uint64_t>(put<uint64_t>(at, addr), value);
+}
+
+/** A pair list whose bytes are known to be in the stream. */
+struct WordPairs
+{
+    const char *at;
+    uint64_t count;
+};
+
+/** Take the count and the pair bytes of a list over an image of
+ *  @p image_bytes; a list may name each word at most once. */
+WordPairs
+takeWordPairs(Reader &r, uint64_t image_bytes, const char *what)
+{
+    const uint64_t count = r.u64();
+    if (count > image_bytes / kWordBytes)
+        ICFP_FATAL("trace stream corrupt: oversized %s", what);
+    return {r.bytes(count * kPairBytes), count};
+}
+
+/**
+ * Decode @p pairs as exactly what a delta against @p base would hold:
+ * aligned in-image addresses, strictly ascending (replays compare
+ * deltas for equality), each value differing from base(addr). Calls
+ * emit(addr, value) per pair.
+ */
+template <typename Base, typename Emit>
+void
+decodeWordPairs(WordPairs pairs, uint64_t image_bytes, const char *what,
+                Base base, Emit emit)
+{
+    const char *at = pairs.at;
+    Addr prev = 0;
+    for (uint64_t i = 0; i < pairs.count; ++i) {
+        const Addr addr = take<uint64_t>(at);
+        const RegVal value = take<uint64_t>(at);
+        if (addr % kWordBytes != 0 || addr >= image_bytes)
+            ICFP_FATAL("trace stream corrupt: unaligned or out-of-range %s "
+                       "address",
+                       what);
+        if (i > 0 && addr <= prev)
+            ICFP_FATAL("trace stream corrupt: %s not ascending", what);
+        if (base(addr) == value)
+            ICFP_FATAL("trace stream corrupt: identity %s word", what);
+        emit(addr, value);
+        prev = addr;
+    }
+}
+
+/** Image size, then its non-zero words as a pair list. */
+void
+writeMemoryImage(Writer &w, const MemoryImage &mem, const MemDelta &nonzero)
+{
+    w.u64(mem.sizeBytes());
+    writeWordPairs(w, nonzero);
 }
 
 MemoryImage
@@ -189,32 +240,38 @@ readMemoryImage(Reader &r)
         bytes > (uint64_t{1} << 36)) {
         ICFP_FATAL("trace stream corrupt: bad memory image size");
     }
-    r.need(bytes); // before allocating: the size is untrusted
+    const WordPairs pairs = takeWordPairs(r, bytes, "memory image");
+    // The size is untrusted and no longer backed by stream bytes: an
+    // image the host cannot map is a decode error, not a crash.
+    MemoryImage mem;
+    try {
+        mem.resize(bytes);
+    } catch (const std::bad_alloc &) {
+        ICFP_FATAL("trace stream corrupt: memory image too large");
+    }
     // The image starts zeroed; writing only the non-zero words leaves
     // the pages a workload never initialised unfaulted.
-    MemoryImage mem(bytes);
-    for (Addr a = 0; a < bytes; a += kWordBytes) {
-        const RegVal value = r.u64();
-        if (value != 0)
-            mem.write(a, value);
-    }
+    decodeWordPairs(
+        pairs, bytes, "memory image", [](Addr) { return RegVal{0}; },
+        [&](Addr addr, RegVal value) { mem.write(addr, value); });
     return mem;
 }
 
 void
-writeProgramBody(Writer &w, const Program &program)
+writeProgramBody(Writer &w, const Program &program, const MemDelta &nonzero)
 {
     w.str(program.name);
     w.u32(static_cast<uint32_t>(program.code.size()));
+    char *at = w.grow(program.code.size() * kInstRecordBytes);
     for (const Instruction &inst : program.code) {
-        w.u8(static_cast<uint8_t>(inst.op));
-        w.u8(inst.dst);
-        w.u8(inst.src1);
-        w.u8(inst.src2);
-        w.i64(inst.imm);
-        w.u32(inst.target);
+        at = put(at, static_cast<uint8_t>(inst.op));
+        at = put(at, inst.dst);
+        at = put(at, inst.src1);
+        at = put(at, inst.src2);
+        at = put(at, inst.imm);
+        at = put(at, inst.target);
     }
-    writeMemoryImage(w, program.initialMemory);
+    writeMemoryImage(w, program.initialMemory, nonzero);
 }
 
 Program
@@ -225,19 +282,16 @@ readProgramBody(Reader &r)
     const uint32_t count = r.u32();
     if (count > (1u << 26))
         ICFP_FATAL("trace stream corrupt: oversized program");
+    const char *at = r.bytes(count * kInstRecordBytes); // before reserving
     p.code.reserve(count);
     for (uint32_t i = 0; i < count; ++i) {
-        Instruction inst;
-        const uint8_t op = r.u8();
-        if (op > static_cast<uint8_t>(Opcode::Halt))
-            ICFP_FATAL("trace stream corrupt: bad opcode");
-        inst.op = static_cast<Opcode>(op);
-        inst.dst = r.u8();
-        inst.src1 = r.u8();
-        inst.src2 = r.u8();
-        inst.imm = r.i64();
-        inst.target = r.u32();
-        p.code.push_back(inst);
+        Instruction &inst = p.code.emplace_back();
+        inst.op = checkedOpcode(take<uint8_t>(at));
+        inst.dst = take<RegId>(at);
+        inst.src1 = take<RegId>(at);
+        inst.src2 = take<RegId>(at);
+        inst.imm = take<int64_t>(at);
+        inst.target = take<uint32_t>(at);
     }
     p.initialMemory = readMemoryImage(r);
     return p;
@@ -246,10 +300,23 @@ readProgramBody(Reader &r)
 void
 checkMagic(Reader &r, const char (&magic)[8], const char *what)
 {
-    for (char expected : magic) {
-        if (static_cast<char>(r.u8()) != expected)
-            ICFP_FATAL("not a %s file (bad magic)", what);
+    if (std::memcmp(r.bytes(sizeof(magic)), magic, sizeof(magic)) != 0)
+        ICFP_FATAL("not a %s file (bad magic)", what);
+}
+
+/** Everything that remains in @p is (callers may have consumed a
+ *  header already); decoders stop at their own counts, so any trailing
+ *  bytes are simply never looked at. */
+std::string
+readRest(std::istream &is)
+{
+    std::string bytes;
+    std::string chunk(1u << 16, '\0');
+    while (is.read(chunk.data(), static_cast<std::streamsize>(chunk.size())) ||
+           is.gcount() > 0) {
+        bytes.append(chunk.data(), static_cast<size_t>(is.gcount()));
     }
+    return bytes;
 }
 
 } // namespace
@@ -257,58 +324,69 @@ checkMagic(Reader &r, const char (&magic)[8], const char *what)
 void
 writeProgram(std::ostream &os, const Program &program)
 {
-    Writer w(os);
+    const MemDelta nonzero = nonZeroWords(program.initialMemory);
+    std::string out;
+    Writer w(out);
     w.raw(kProgMagic, sizeof(kProgMagic));
-    writeProgramBody(w, program);
+    writeProgramBody(w, program, nonzero);
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 Program
 readProgram(std::istream &is)
 {
-    Reader r(is);
+    const std::string bytes = readRest(is);
+    Reader r(bytes);
     checkMagic(r, kProgMagic, "program");
     return readProgramBody(r);
 }
 
 void
-writeTrace(std::ostream &os, const Trace &trace)
+writeTrace(std::string &out, const Trace &trace)
 {
     ICFP_ASSERT(trace.program != nullptr);
-    Writer w(os);
+    const Program &program = *trace.program;
+    const MemDelta nonzero = nonZeroWords(program.initialMemory);
+    Writer w(out);
     w.raw(kMagic, sizeof(kMagic));
-    writeProgramBody(w, *trace.program);
+    writeProgramBody(w, program, nonzero);
 
     w.u64(trace.insts.size());
+    char *at = w.grow(trace.insts.size() * kDynInstRecordBytes);
     for (const DynInst &di : trace.insts) {
-        w.u32(di.pc);
-        w.u32(di.nextPc);
-        w.u8(static_cast<uint8_t>(di.op));
-        w.u8(di.dst);
-        w.u8(di.src1);
-        w.u8(di.src2);
-        w.u64(di.addr);
-        w.u64(di.value);
-        w.u8(di.flags);
+        at = put(at, di.pc);
+        at = put(at, di.nextPc);
+        at = put(at, static_cast<uint8_t>(di.op));
+        at = put(at, di.dst);
+        at = put(at, di.src1);
+        at = put(at, di.src2);
+        at = put(at, di.addr);
+        at = put(at, di.value);
+        at = put(at, di.flags);
     }
 
     for (RegVal v : trace.finalRegs)
         w.u64(v);
 
-    // The final memory is stored as its delta against the initial image
-    // (count + ascending (addr, value) pairs): workload data segments
-    // run to tens of megabytes while a run touches a tiny fraction.
-    w.u64(trace.finalDelta.size());
-    for (const auto &[addr, value] : trace.finalDelta) {
-        w.u64(addr);
-        w.u64(value);
-    }
+    // The final memory is stored as its delta against the initial image:
+    // workload data segments run to tens of megabytes while a run
+    // touches a tiny fraction.
+    writeWordPairs(w, trace.finalDelta);
     w.u8(trace.halted ? 1 : 0);
 }
 
-Trace
-readTrace(std::istream &is)
+void
+writeTrace(std::ostream &os, const Trace &trace)
 {
-    Reader r(is);
+    std::string out;
+    writeTrace(out, trace);
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
+}
+
+Trace
+readTrace(std::string_view bytes)
+{
+    Reader r(bytes);
     checkMagic(r, kMagic, "trace");
 
     Trace trace;
@@ -317,50 +395,43 @@ readTrace(std::istream &is)
     const uint64_t count = r.u64();
     if (count > (uint64_t{1} << 32))
         ICFP_FATAL("trace stream corrupt: oversized trace");
+    const char *at = r.bytes(count * kDynInstRecordBytes); // before reserving
     trace.insts.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
         DynInst &di = trace.insts.emplace_back();
-        di.pc = r.u32();
-        di.nextPc = r.u32();
-        const uint8_t op = r.u8();
-        if (op > static_cast<uint8_t>(Opcode::Halt))
-            ICFP_FATAL("trace stream corrupt: bad opcode");
-        di.op = static_cast<Opcode>(op);
-        di.dst = r.u8();
-        di.src1 = r.u8();
-        di.src2 = r.u8();
-        di.addr = r.u64();
-        di.value = r.u64();
-        di.flags = r.u8();
+        di.pc = take<uint32_t>(at);
+        di.nextPc = take<uint32_t>(at);
+        di.op = checkedOpcode(take<uint8_t>(at));
+        di.dst = take<RegId>(at);
+        di.src1 = take<RegId>(at);
+        di.src2 = take<RegId>(at);
+        di.addr = take<Addr>(at);
+        di.value = take<RegVal>(at);
+        di.flags = take<uint8_t>(at);
     }
 
     for (RegVal &v : trace.finalRegs)
         v = r.u64();
 
-    // The delta must be exactly what MemOverlay::delta would produce:
-    // aligned in-segment addresses, strictly ascending (replays compare
-    // deltas for equality), each changing its word.
+    // The delta must be exactly what MemOverlay::delta would produce.
     const MemoryImage &initial = trace.program->initialMemory;
-    const uint64_t delta_count = r.u64();
-    if (delta_count > initial.sizeBytes() / kWordBytes)
-        ICFP_FATAL("trace stream corrupt: oversized memory delta");
-    r.need(delta_count * 2 * sizeof(uint64_t)); // before reserving
-    trace.finalDelta.reserve(delta_count);
-    for (uint64_t i = 0; i < delta_count; ++i) {
-        const Addr addr = r.u64();
-        const RegVal value = r.u64();
-        if (initial.wrap(addr) != addr)
-            ICFP_FATAL("trace stream corrupt: unaligned delta address");
-        if (!trace.finalDelta.empty() &&
-            addr <= trace.finalDelta.back().first) {
-            ICFP_FATAL("trace stream corrupt: memory delta not ascending");
-        }
-        if (initial.read(addr) == value)
-            ICFP_FATAL("trace stream corrupt: identity delta");
-        trace.finalDelta.emplace_back(addr, value);
-    }
+    const WordPairs delta =
+        takeWordPairs(r, initial.sizeBytes(), "memory delta");
+    trace.finalDelta.reserve(delta.count);
+    decodeWordPairs(
+        delta, initial.sizeBytes(), "memory delta",
+        [&](Addr addr) { return initial.read(addr); },
+        [&](Addr addr, RegVal value) {
+            trace.finalDelta.emplace_back(addr, value);
+        });
     trace.halted = r.u8() != 0;
     return trace;
+}
+
+Trace
+readTrace(std::istream &is)
+{
+    return readTrace(readRest(is));
 }
 
 void

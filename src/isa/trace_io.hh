@@ -9,13 +9,21 @@
  * simple explicit little-endian stream with a magic/version header —
  * files are portable across hosts.
  *
- * Format (version 2):
- *   magic "ICFPTRC2"
- *   program: name, code (one record per instruction), data image
+ * Format (version 3):
+ *   magic "ICFPTRC3"
+ *   program: name, code (one record per instruction), data image as
+ *     its size plus its non-zero words (count + ascending
+ *     (addr, value) pairs: the image as a delta against zeroes)
  *   dynamic instructions (count + packed records: pc, nextPc, op,
  *     dst/src1/src2, addr, value, flags)
  *   final register file, final memory as a delta against the initial
  *     image (count + ascending (addr, value) pairs), halted flag
+ *
+ * Both pair lists share one encoder and one decoder, which rejects an
+ * unaligned or out-of-range address, a duplicate or descending one, a
+ * word equal to its base (zero, for the image), and a count larger than
+ * the image's word count. Every count is checked against the bytes the
+ * stream holds before anything is allocated for it.
  */
 
 #ifndef ICFP_ISA_TRACE_IO_HH
@@ -23,6 +31,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "isa/interpreter.hh"
 #include "isa/program.hh"
@@ -31,16 +40,18 @@ namespace icfp {
 
 /**
  * Serialization format version. Must stay in lockstep with the trailing
- * digit of the "ICFPTRC2"/"ICFPPRG2" magics in trace_io.cc: bump both
+ * digit of the "ICFPTRC3"/"ICFPPRG3" magics in trace_io.cc: bump both
  * whenever the encoding changes (field added, reordered, or re-typed).
  * Consumers that persist traces (sim/trace_store.hh) embed this in
  * their cache keys so files in an old encoding are regenerated, never
  * parsed (readTrace is fatal on undecodable input).
  *
  * Version 2 packed the DynInst record (merged result/store value, flags
- * byte) alongside the in-memory DynInst repack.
+ * byte) alongside the in-memory DynInst repack. Version 3 stores memory
+ * images sparsely: workload images run to 64 MB with under 1% of their
+ * words non-zero.
  */
-constexpr unsigned kTraceIoFormatVersion = 2;
+constexpr unsigned kTraceIoFormatVersion = 3;
 
 /** Serialize @p program to @p os. */
 void writeProgram(std::ostream &os, const Program &program);
@@ -51,8 +62,15 @@ Program readProgram(std::istream &is);
 /** Serialize a complete golden trace (program included) to @p os. */
 void writeTrace(std::ostream &os, const Trace &trace);
 
+/** Append the serialization of @p trace to @p out. */
+void writeTrace(std::string &out, const Trace &trace);
+
 /** Deserialize a Trace; fatal on malformed input. */
 Trace readTrace(std::istream &is);
+
+/** Deserialize the Trace encoded in @p bytes, in place; fatal on
+ *  malformed input. */
+Trace readTrace(std::string_view bytes);
 
 /** Convenience: write @p trace to @p path (fatal on I/O failure). */
 void saveTraceFile(const std::string &path, const Trace &trace);

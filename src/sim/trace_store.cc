@@ -5,7 +5,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -35,14 +36,14 @@ constexpr const char *kStoreSuffix = ".trc";
 
 /** Little-endian u64, mirroring trace_io's primitive encoding. */
 void
-putU64(std::string *out, uint64_t v)
+putU64(char *at, uint64_t v)
 {
     for (int i = 0; i < 8; ++i)
-        out->push_back(static_cast<char>(v >> (8 * i)));
+        at[i] = static_cast<char>(v >> (8 * i));
 }
 
 uint64_t
-getU64(const std::string &s, size_t at)
+getU64(std::string_view s, size_t at)
 {
     uint64_t v = 0;
     for (int i = 0; i < 8; ++i)
@@ -51,18 +52,32 @@ getU64(const std::string &s, size_t at)
     return v;
 }
 
-/** Read a whole file as bytes; std::nullopt if unreadable. */
-std::optional<std::string>
+/** A whole file's bytes. */
+struct FileBytes
+{
+    std::unique_ptr<char[]> data;
+    size_t size = 0;
+
+    std::string_view view() const { return {data.get(), size}; }
+};
+
+/** Read a whole file with one read into a buffer sized from the file
+ *  length (and not zero-filled first); std::nullopt if unreadable. */
+std::optional<FileBytes>
 readFileBytes(const fs::path &path)
 {
-    std::ifstream is(path, std::ios::binary);
+    std::ifstream is(path, std::ios::binary | std::ios::ate);
     if (!is)
         return std::nullopt;
-    std::ostringstream os;
-    os << is.rdbuf();
-    if (!is.good() && !is.eof())
+    const std::streamoff size = is.tellg();
+    if (size < 0 || !is.seekg(0))
         return std::nullopt;
-    return os.str();
+    FileBytes bytes{std::make_unique_for_overwrite<char[]>(
+                        static_cast<size_t>(size)),
+                    static_cast<size_t>(size)};
+    if (!is.read(bytes.data.get(), size))
+        return std::nullopt;
+    return bytes;
 }
 
 void
@@ -172,27 +187,28 @@ std::optional<Trace>
 TraceStore::load(const TraceId &id)
 {
     const fs::path path = fs::path(dir_) / id.fileName();
-    const std::optional<std::string> bytes = readFileBytes(path);
-    if (!bytes) {
+    const std::optional<FileBytes> file = readFileBytes(path);
+    if (!file) {
         countStoreEvent("misses");
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.misses;
         return std::nullopt;
     }
+    const std::string_view bytes = file->view();
 
     // Header: magic, key length + key, payload hash, payload length.
     const std::string key = id.keyString();
     const size_t header = sizeof(kStoreMagic) + 8 + key.size() + 8 + 8;
-    bool ok = bytes->size() >= header &&
-              bytes->compare(0, sizeof(kStoreMagic), kStoreMagic,
-                             sizeof(kStoreMagic)) == 0 &&
-              getU64(*bytes, sizeof(kStoreMagic)) == key.size() &&
-              bytes->compare(sizeof(kStoreMagic) + 8, key.size(), key) == 0;
+    bool ok = bytes.size() >= header &&
+              bytes.substr(0, sizeof(kStoreMagic)) ==
+                  std::string_view(kStoreMagic, sizeof(kStoreMagic)) &&
+              getU64(bytes, sizeof(kStoreMagic)) == key.size() &&
+              bytes.substr(sizeof(kStoreMagic) + 8, key.size()) == key;
     if (ok) {
-        const uint64_t hash = getU64(*bytes, header - 16);
-        const uint64_t size = getU64(*bytes, header - 8);
-        ok = bytes->size() == header + size &&
-             fnv1a64(bytes->data() + header, size) == hash;
+        const uint64_t hash = getU64(bytes, header - 16);
+        const uint64_t size = getU64(bytes, header - 8);
+        ok = bytes.size() == header + size &&
+             fnv1a64(bytes.data() + header, size) == hash;
     }
     if (!ok) {
         // Truncated, bit-flipped, or a colliding/renamed file: drop it so
@@ -210,11 +226,8 @@ TraceStore::load(const TraceId &id)
     std::error_code ec;
     fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
 
-    // Move the file bytes into the stream (no payload copy) and seek
-    // past the verified header.
-    std::istringstream is(std::move(*bytes));
-    is.seekg(static_cast<std::streamoff>(header));
-    Trace trace = readTrace(is);
+    // Decode the verified payload where it lies.
+    Trace trace = readTrace(bytes.substr(header));
     countStoreEvent("hits");
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.hits;
@@ -224,17 +237,21 @@ TraceStore::load(const TraceId &id)
 void
 TraceStore::store(const TraceId &id, const Trace &trace)
 {
-    std::ostringstream payload_os;
-    writeTrace(payload_os, trace);
-    const std::string payload = payload_os.str();
+    // Header: magic, key length + key, payload hash, payload length;
+    // the payload is encoded straight after it and the two trailing
+    // header fields are filled in once its bytes are known.
     const std::string key = id.keyString();
-
     std::string blob(kStoreMagic, sizeof(kStoreMagic));
-    putU64(&blob, key.size());
+    blob.resize(blob.size() + 8);
+    putU64(blob.data() + sizeof(kStoreMagic), key.size());
     blob += key;
-    putU64(&blob, fnv1a64(payload.data(), payload.size()));
-    putU64(&blob, payload.size());
-    blob += payload;
+    const size_t header = blob.size() + 16;
+    blob.resize(header);
+    writeTrace(blob, trace);
+    const size_t size = blob.size() - header;
+    putU64(blob.data() + header - 16,
+           fnv1a64(blob.data() + header, size));
+    putU64(blob.data() + header - 8, size);
 
     // Durable publish (fsync-then-rename): an un-fsynced rename can
     // survive a crash that its data blocks do not, and a zero-filled

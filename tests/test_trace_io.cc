@@ -8,12 +8,15 @@
 
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <sstream>
+#include <string_view>
 
 #include "isa/trace_io.hh"
 #include "sim/simulator.hh"
 #include "sim/trace_store.hh"
 #include "workloads/kernels.hh"
+#include "workloads/suite_registry.hh"
 
 namespace icfp {
 namespace {
@@ -33,7 +36,24 @@ sampleProgram()
     b.bne(1, 0, loop);
     b.halt();
     b.poke(8, 42);
+    b.poke(2048, 7);
     return std::move(b).build("sample");
+}
+
+std::string
+programBytes(const Program &p)
+{
+    std::stringstream ss;
+    writeProgram(ss, p);
+    return ss.str();
+}
+
+/** Offset of the data image's pair count in programBytes(@p p): magic(8)
+ *  + name(4+len) + count(4) + code records(16 each) + image size(8). */
+size_t
+imagePairsOffset(const Program &p)
+{
+    return 8 + 4 + p.name.size() + 4 + 16 * p.code.size() + 8;
 }
 
 TEST(TraceIo, ProgramRoundTrip)
@@ -94,6 +114,44 @@ TEST(TraceIo, ReloadedTraceReplaysIdentically)
     EXPECT_EQ(a.mem.dcacheMisses, b.mem.dcacheMisses);
 }
 
+TEST(TraceIo, ImagesAreStoredSparsely)
+{
+    // Size + count + one pair per non-zero word, nothing for the zeroes.
+    const Program p = sampleProgram();
+    EXPECT_EQ(programBytes(p).size(), imagePairsOffset(p) + 8 + 2 * 16);
+}
+
+TEST(TraceIo, EveryRegisteredBenchImageRoundTrips)
+{
+    std::set<std::string> seen;
+    for (const std::string &suite : suiteNames()) {
+        for (const BenchmarkSpec &bench : findSuite(suite)) {
+            if (!seen.insert(bench.name).second)
+                continue;
+            const Trace t = makeBenchTrace(bench, 2000);
+            std::stringstream ss;
+            writeTrace(ss, t);
+            const Trace u = readTrace(ss);
+            EXPECT_TRUE(u.program->initialMemory == t.program->initialMemory)
+                << bench.name;
+            EXPECT_EQ(u.finalDelta, t.finalDelta) << bench.name;
+        }
+    }
+    EXPECT_GE(seen.size(), 36u);
+}
+
+TEST(TraceIo, InPlaceDecodeAfterAHeaderMatchesTheTrace)
+{
+    const Trace t = Interpreter::run(sampleProgram(), 300);
+    std::string bytes = "header";
+    writeTrace(bytes, t);
+    const Trace u = readTrace(std::string_view(bytes).substr(6));
+    EXPECT_EQ(u.size(), t.size());
+    EXPECT_EQ(u.finalRegs, t.finalRegs);
+    EXPECT_EQ(u.finalDelta, t.finalDelta);
+    EXPECT_TRUE(u.program->initialMemory == t.program->initialMemory);
+}
+
 TEST(TraceIo, FileRoundTrip)
 {
     const Trace t = Interpreter::run(sampleProgram(), 200);
@@ -105,7 +163,7 @@ TEST(TraceIo, FileRoundTrip)
     std::remove(path.c_str());
 }
 
-TEST(TraceIo, TraceBytesPinnedForGzipAndVpr)
+TEST(TraceIo, TraceBytesPinned)
 {
     // Absolute pins, not a comparison of two runs of one build: a change
     // to the encoding or to generation that moved both runs alike would
@@ -116,8 +174,10 @@ TEST(TraceIo, TraceBytesPinnedForGzipAndVpr)
         const char *bench;
         uint64_t fnv;
     } pins[] = {
-        {"gzip", 0x9394e4c9af9996b2ull},
-        {"vpr", 0xacd1c299c404153full},
+        {"gzip", 0xda9bcd0482f30e83ull},
+        {"vpr", 0xb4268afcf6287bb0ull},
+        // 64 MB image: pins the sparse image path on a large segment.
+        {"kv.get", 0x1119a353c593238full},
     };
     for (const auto &pin : pins) {
         std::ostringstream os;
@@ -169,6 +229,98 @@ TEST(TraceIoDeath, RejectsDescendingDeltaAddress)
             std::memcpy(last, pair, 16);
         }));
     EXPECT_DEATH({ readTrace(bad); }, "trace stream corrupt");
+}
+
+/**
+ * Serialized sample program with its data-image pair list passed
+ * through @p edit (@p count: the u64 pair count; @p pairs: the first of
+ * its 16-byte (addr, value) pairs, which run to the end of the bytes).
+ */
+std::string
+programWithEditedImage(void (*edit)(char *count, char *pairs))
+{
+    const Program p = sampleProgram();
+    std::string bytes = programBytes(p);
+    const size_t at = imagePairsOffset(p);
+    uint64_t count = 0;
+    std::memcpy(&count, bytes.data() + at, 8);
+    EXPECT_EQ(count, 2u);
+    edit(bytes.data() + at, bytes.data() + at + 8);
+    return bytes;
+}
+
+TEST(TraceIoDeath, RejectsUnalignedImageAddress)
+{
+    std::stringstream bad(programWithEditedImage(
+        [](char *, char *pairs) { pairs[0] = static_cast<char>(pairs[0] + 1); }));
+    EXPECT_DEATH({ readProgram(bad); }, "unaligned or out-of-range memory image");
+}
+
+TEST(TraceIoDeath, RejectsDuplicateImageAddress)
+{
+    std::stringstream bad(programWithEditedImage(
+        [](char *, char *pairs) { std::memcpy(pairs + 16, pairs, 8); }));
+    EXPECT_DEATH({ readProgram(bad); }, "memory image not ascending");
+}
+
+TEST(TraceIoDeath, RejectsDescendingImageAddress)
+{
+    std::stringstream bad(programWithEditedImage([](char *, char *pairs) {
+        char pair[16];
+        std::memcpy(pair, pairs, 16);
+        std::memcpy(pairs, pairs + 16, 16);
+        std::memcpy(pairs + 16, pair, 16);
+    }));
+    EXPECT_DEATH({ readProgram(bad); }, "memory image not ascending");
+}
+
+TEST(TraceIoDeath, RejectsZeroImageWord)
+{
+    std::stringstream bad(programWithEditedImage(
+        [](char *, char *pairs) { std::memset(pairs + 8, 0, 8); }));
+    EXPECT_DEATH({ readProgram(bad); }, "identity memory image word");
+}
+
+TEST(TraceIoDeath, RejectsImageCountAboveWordCount)
+{
+    std::stringstream bad(programWithEditedImage([](char *count, char *) {
+        const uint64_t words = 4096 / 8 + 1;
+        std::memcpy(count, &words, 8);
+    }));
+    EXPECT_DEATH({ readProgram(bad); }, "oversized memory image");
+}
+
+TEST(TraceIoDeath, RejectsTruncatedImagePairList)
+{
+    const std::string full = programWithEditedImage([](char *, char *) {});
+    std::stringstream cut(full.substr(0, full.size() - 5));
+    EXPECT_DEATH({ readProgram(cut); }, "trace stream truncated");
+}
+
+TEST(TraceIoDeath, HugeTraceCountOverShortStreamIsTruncationNotAlloc)
+{
+    // The record count is untrusted: it must be checked against the
+    // bytes present before 2^32 DynInsts (128 GiB) are allocated.
+    const Program p = sampleProgram();
+    std::stringstream ss;
+    writeTrace(ss, Interpreter::run(p, 100));
+    std::string bytes = ss.str().substr(0, programBytes(p).size());
+    const uint64_t count = uint64_t{1} << 32;
+    bytes.append(reinterpret_cast<const char *>(&count), 8);
+    bytes.append(64, '\0');
+    std::stringstream bad(bytes);
+    EXPECT_DEATH({ readTrace(bad); }, "trace stream truncated");
+}
+
+TEST(TraceIoDeath, HugeProgramCountOverShortStreamIsTruncationNotAlloc)
+{
+    const Program p = sampleProgram();
+    std::string bytes = programBytes(p);
+    const size_t at = 8 + 4 + p.name.size();
+    const uint32_t count = 1u << 26;
+    std::memcpy(bytes.data() + at, &count, 4);
+    std::stringstream bad(bytes);
+    EXPECT_DEATH({ readProgram(bad); }, "trace stream truncated");
 }
 
 TEST(TraceIoDeath, RejectsBadMagic)

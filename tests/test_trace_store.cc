@@ -174,6 +174,45 @@ TEST_F(TraceStoreTest, EngineStampsBenchmarkDefVersionIntoStoreKeys)
     EXPECT_FALSE(shared->load(bumped).has_value());
 }
 
+TEST_F(TraceStoreTest, OldStoreFormatIsAMissThatIsReplaced)
+{
+    // A file an older binary published: a well-formed store file whose
+    // key names trace format 2. It must read as a miss — never be
+    // parsed, never be fatal — be deleted, and be replaced by the
+    // regenerated trace under the current key.
+    const TraceId id{"gzip", 1000, std::nullopt,
+                     findBenchmark("gzip").defVersion};
+    std::string key = id.keyString();
+    ASSERT_EQ(key.rfind("fmt=", 0), 0u);
+    key.replace(0, key.find(' '), "fmt=2");
+    const std::string payload = "ICFPTRC2" + std::string(64, '\0');
+    const auto u64 = [](uint64_t v) {
+        return std::string(reinterpret_cast<const char *>(&v), 8);
+    };
+    std::ofstream(storePath(id), std::ios::binary)
+        << "ICFPSTR1" << u64(key.size()) << key
+        << u64(fnv1a64(payload.data(), payload.size()))
+        << u64(payload.size()) << payload;
+
+    auto store = std::make_shared<TraceStore>(dir_);
+    EXPECT_FALSE(store->load(id).has_value());
+    EXPECT_EQ(store->stats().misses, 1u);
+    EXPECT_FALSE(fs::exists(storePath(id)));
+
+    SweepEngine engine(1);
+    engine.setTraceStore(store);
+    const Trace &regen = engine.trace("gzip", 1000);
+    EXPECT_EQ(engine.traceGenerations(), 1u);
+    ASSERT_TRUE(fs::exists(storePath(id)));
+    std::ifstream in(storePath(id), std::ios::binary);
+    std::string header(8 + 8 + id.keyString().size(), '\0');
+    in.read(header.data(), static_cast<std::streamsize>(header.size()));
+    EXPECT_EQ(header.substr(16), id.keyString());
+    const std::optional<Trace> hit = store->load(id);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(traceBytes(*hit), traceBytes(regen));
+}
+
 TEST_F(TraceStoreTest, KeyMismatchInsideFileIsCorruption)
 {
     // Rename a valid file over another key's slot: the embedded key
@@ -429,6 +468,10 @@ TEST_F(TraceStoreTest, Fnv1aMatchesReferenceVectors)
     EXPECT_EQ(fnv1a64("", 0), 14695981039346656037ull);
     EXPECT_EQ(fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
     EXPECT_EQ(fnv1a64("foobar", 6), 0x85944171f73967e8ull);
+    // Stored files carry this hash: changing it means bumping the store
+    // header magic.
+    EXPECT_EQ(fnv1a64("abcdefgh", 8), 0x25da8c1836a8d66dull);
+    EXPECT_EQ(fnv1a64("abcdefghijklm", 13), 0x4213ea06398bc308ull);
 }
 
 } // namespace
