@@ -10,21 +10,11 @@
 #include "common/metrics.hh"
 #include "service/ledger.hh"
 #include "sim/merge.hh"
-#include "sim/report.hh"
 
 namespace icfp {
 namespace service {
 
 namespace {
-
-/** "2/3" — the CLI's 1-based shard notation, used in submit frames,
- *  source labels, and diagnostics alike. */
-std::string
-sliceName(const ShardSpec &slice)
-{
-    return std::to_string(slice.index + 1) + "/" +
-           std::to_string(slice.count);
-}
 
 /** Registry mirror of a FederatedOutcome (summed across jobs; the
  *  per-job numbers stay on the ledger line and in the outcome). */
@@ -43,6 +33,27 @@ countFederatedOutcome(const FederatedOutcome &outcome)
 
 } // namespace
 
+std::string
+runGridLocally(SweepEngine &engine, const GridRequest &request,
+               const std::optional<ShardSpec> &slice,
+               const std::atomic<bool> *cancel, metrics::SpanLog *spans)
+{
+    const std::vector<SweepJob> sliced =
+        slice ? shardJobs(request.grid, *slice) : std::vector<SweepJob>();
+    const std::vector<SweepResult> results =
+        engine.run(slice ? sliced : request.grid, request.insts,
+                   request.seed, cancel, spans);
+    const uint64_t emit_start = metrics::nowMicros();
+    std::string artifact =
+        sweepArtifact(results, request.format, slice, request.grid.size(),
+                      request.gridFp);
+    if (spans) {
+        spans->add("report_emit", emit_start, metrics::nowMicros(),
+                   {{"bytes", std::to_string(artifact.size())}});
+    }
+    return artifact;
+}
+
 Coordinator::Coordinator(PeerPool &pool, SweepEngine &engine,
                          CoordinatorOptions options)
     : pool_(pool), engine_(engine), options_(options)
@@ -50,7 +61,7 @@ Coordinator::Coordinator(PeerPool &pool, SweepEngine &engine,
 }
 
 FederatedOutcome
-Coordinator::run(const FederatedRequest &request,
+Coordinator::run(const GridRequest &request,
                  const std::atomic<bool> *cancel)
 {
     FederatedOutcome outcome;
@@ -66,8 +77,8 @@ Coordinator::run(const FederatedRequest &request,
         // configured healthy yet), the coordinator IS the fleet. The
         // plain local artifact is byte-identical by definition.
         outcome.degradedLocal = true;
-        outcome.artifact =
-            runLocal(request, ShardSpec{0, 1}, cancel, false);
+        outcome.artifact = runGridLocally(engine_, request, std::nullopt,
+                                          cancel, nullptr);
         countFederatedOutcome(outcome);
         return outcome;
     }
@@ -106,14 +117,14 @@ Coordinator::run(const FederatedRequest &request,
 }
 
 void
-Coordinator::runSlice(const FederatedRequest &request,
+Coordinator::runSlice(const GridRequest &request,
                       const ShardSpec &slice,
                       const std::atomic<bool> *cancel,
                       std::string *artifact, std::string *source,
                       FederatedOutcome *outcome,
                       std::mutex *outcome_mutex)
 {
-    const std::string name = sliceName(slice);
+    const std::string name = shardName(slice);
     std::vector<bool> tried(pool_.size(), false);
     bool first_attempt = true;
     while (true) {
@@ -156,19 +167,19 @@ Coordinator::runSlice(const FederatedRequest &request,
         ++outcome->localSlices;
     }
     ledgerLine("slice %s running on the local engine", name.c_str());
-    *artifact = runLocal(request, slice, cancel, true);
+    *artifact = runGridLocally(engine_, request, slice, cancel, nullptr);
     *source = "local slice " + name;
 }
 
 std::string
-Coordinator::dispatchRemote(const FederatedRequest &request,
+Coordinator::dispatchRemote(const GridRequest &request,
                             const ShardSpec &slice, size_t peer,
                             const std::atomic<bool> *cancel)
 {
     // The peer is already reserved (pickPeer bumped its inflight count);
     // exactly one release() happens below on every path, including a
     // failure before a connection even exists.
-    const std::string name = sliceName(slice);
+    const std::string name = shardName(slice);
     std::unique_ptr<ServiceClient> client;
     uint64_t remote_job = 0;
     try {
@@ -249,7 +260,7 @@ Coordinator::dispatchRemote(const FederatedRequest &request,
         if (parsed.shard.index != slice.index ||
             parsed.shard.count != slice.count) {
             throw ProtocolError(what + " answered shard " +
-                                sliceName(parsed.shard) +
+                                shardName(parsed.shard) +
                                 ", expected " + name);
         }
         if (parsed.gridRows != request.grid.size()) {
@@ -292,25 +303,6 @@ Coordinator::cancelRemote(size_t peer, uint64_t job_id)
         // Best effort only: the peer being unreachable is the common
         // reason we are cancelling in the first place.
     }
-}
-
-std::string
-Coordinator::runLocal(const FederatedRequest &request,
-                      const ShardSpec &slice,
-                      const std::atomic<bool> *cancel, bool shard_framed)
-{
-    const std::vector<SweepJob> jobs = shardJobs(request.grid, slice);
-    const std::vector<SweepResult> results =
-        engine_.run(jobs, request.insts, request.seed, cancel);
-    if (!shard_framed) {
-        return request.format == "json" ? sweepJson(results)
-                                        : sweepCsv(results);
-    }
-    return request.format == "json"
-               ? shardJson(results, slice, request.grid.size(),
-                           request.gridFp)
-               : shardCsv(results, slice, request.grid.size(),
-                          request.gridFp);
 }
 
 } // namespace service

@@ -27,15 +27,15 @@
  *
  *  - A slice whose peer fails — connect refused, fingerprint rejected,
  *    error/busy answer, death mid-job (EOF), malformed or mismatched
- *    artifact — is re-dispatched to another healthy peer, or run on
- *    the local engine when no peer remains. Every recovery increments
- *    the `redispatched` ledger count.
+ *    artifact — is re-dispatched to another healthy peer, or, when no
+ *    peer remains, run by runGridLocally() exactly as a peer runs it.
+ *    Every recovery increments the `redispatched` ledger count.
  *  - A slice that exceeds sliceDeadlineSec without a result is a
  *    straggler: the remote job is cancelled best-effort (the peer
  *    observes its cooperative cancel flag at the next row boundary)
  *    and the slice re-dispatched.
  *  - Zero healthy peers degrades to a pure-local run of the whole
- *    grid — same artifact, `peers=0` in the ledger.
+ *    grid (runGridLocally) — same artifact, `peers=0` in the ledger.
  *  - The job's own cancel flag is honored mid-collect: outstanding
  *    remote slices are cancelled and SweepCancelled propagates.
  *
@@ -67,10 +67,10 @@ struct CoordinatorOptions
     uint64_t sliceDeadlineSec = 0;
 };
 
-/** One job as the coordinator needs it: the normalized request fields
- *  a peer re-expands (they must reproduce the grid exactly) plus the
- *  coordinator's own expansion to validate against and fall back to. */
-struct FederatedRequest
+/** One sweep request, as a daemon job, a federated job or a peer's
+ *  slice: the normalized fields a peer re-expands (they must reproduce
+ *  the grid exactly) plus the full expansion everything runs from. */
+struct GridRequest
 {
     std::string suite;
     std::string format;  ///< "csv" | "json"
@@ -80,7 +80,22 @@ struct FederatedRequest
     std::optional<uint64_t> seed;
     std::vector<SweepJob> grid; ///< full expanded grid
     uint64_t gridFp = 0;        ///< gridFingerprint(grid, insts, seed)
+    /** The slice a `shard=i/N` submit named: only it runs, shard-
+     *  framed (sim/merge.hh), and it is never re-federated. */
+    std::optional<ShardSpec> shard;
 };
+
+/**
+ * The one local run path — a daemon's grid, a peer's slice, and a
+ * coordinator's fallback slice or peerless grid: run @p request's grid,
+ * or only @p slice of it, on @p engine and render it with
+ * sweepArtifact(). @p spans (optional) also gets "report_emit".
+ * @throws SweepCancelled when @p cancel is observed set
+ */
+std::string runGridLocally(SweepEngine &engine, const GridRequest &request,
+                           const std::optional<ShardSpec> &slice,
+                           const std::atomic<bool> *cancel,
+                           metrics::SpanLog *spans);
 
 /** How a federated job went (the server's ledger line mirrors this). */
 struct FederatedOutcome
@@ -108,13 +123,13 @@ class Coordinator
      *         unrecoverable failures (every peer AND the local
      *         fallback failed)
      */
-    FederatedOutcome run(const FederatedRequest &request,
+    FederatedOutcome run(const GridRequest &request,
                          const std::atomic<bool> *cancel);
 
   private:
     /** Run one slice to completion (remote with re-dispatch, then
-     *  local fallback); fills artifact text + its source label. */
-    void runSlice(const FederatedRequest &request, const ShardSpec &slice,
+     *  runGridLocally); fills artifact text + its source label. */
+    void runSlice(const GridRequest &request, const ShardSpec &slice,
                   const std::atomic<bool> *cancel, std::string *artifact,
                   std::string *source, FederatedOutcome *outcome,
                   std::mutex *outcome_mutex);
@@ -124,7 +139,7 @@ class Coordinator
      *  each tick), validate the returned shard artifact.
      *  @return the raw shard-artifact payload
      *  @throws on any failure (caller re-dispatches) */
-    std::string dispatchRemote(const FederatedRequest &request,
+    std::string dispatchRemote(const GridRequest &request,
                                const ShardSpec &slice, size_t peer,
                                const std::atomic<bool> *cancel);
 
@@ -132,15 +147,6 @@ class Coordinator
      *  connection; all failures swallowed — the peer may be dead,
      *  which is exactly why we are cancelling). */
     void cancelRemote(size_t peer, uint64_t job_id);
-
-    /** Local execution of @p slice through the daemon's engine.
-     *  @param shard_framed render as a shard artifact (a fallback
-     *         slice headed for the merge); false renders the plain
-     *         report (the degraded whole-grid case). */
-    std::string runLocal(const FederatedRequest &request,
-                         const ShardSpec &slice,
-                         const std::atomic<bool> *cancel,
-                         bool shard_framed);
 
     PeerPool &pool_;
     SweepEngine &engine_;

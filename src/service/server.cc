@@ -16,7 +16,6 @@
 #include "service/client.hh"
 #include "service/ledger.hh"
 #include "sim/merge.hh"
-#include "sim/report.hh"
 #include "sim/trace_store.hh"
 #include "sim/version_info.hh"
 #include "workloads/suite_registry.hh"
@@ -40,12 +39,16 @@ joinComma(const std::vector<std::string> &items)
     return out;
 }
 
-std::string
-shardText(const ShardSpec &shard)
+/** Rows this daemon runs for @p request: its slice, or the whole grid. */
+size_t
+localRows(const GridRequest &request)
 {
-    return std::to_string(shard.index + 1) + "/" +
-           std::to_string(shard.count);
+    return request.shard ? shardRowCount(request.grid.size(), *request.shard)
+                         : request.grid.size();
 }
+
+/** A deadline failure's error prefix; finishJobLocked() counts on it. */
+constexpr const char *kDeadlineExceeded = "deadline_exceeded";
 
 /** Registry mirror of stats_ job outcomes (the scrape surface; stats_
  *  stays the per-server accessor — several servers can share one
@@ -297,8 +300,26 @@ Server::dispatchLoop()
 }
 
 void
-Server::finishJobLocked(const std::shared_ptr<Job> &job)
+Server::finishJobLocked(const std::shared_ptr<Job> &job, JobState state,
+                        std::string error)
 {
+    job->state = state;
+    job->error = std::move(error);
+    if (state == JobState::Done) {
+        ++stats_.completed;
+        ++(job->cached ? stats_.cacheHits : stats_.cacheMisses);
+        countJobEvent("completed");
+    } else if (state == JobState::Cancelled) {
+        ++stats_.cancelled;
+        countJobEvent("cancelled");
+    } else {
+        ++stats_.failed;
+        countJobEvent("failed");
+        if (job->error.rfind(kDeadlineExceeded, 0) == 0) {
+            ++stats_.deadlineExpired;
+            countJobEvent(kDeadlineExceeded);
+        }
+    }
     --activeJobs_;
     metrics::gauge("icfp_queue_jobs").sub(1);
     // Bound the finished-job history: waiters hold their own
@@ -325,17 +346,13 @@ Server::watchdogLoop()
             // immediately, and their waiters get the error now instead
             // of after everything ahead of them in the queue.
             for (auto it = queue_.begin(); it != queue_.end();) {
-                Job &job = **it;
+                const Job &job = **it;
                 if (job.hasDeadline && now >= job.deadlineAt) {
-                    job.state = JobState::Failed;
-                    job.deadlineHit = true;
-                    job.error = "deadline_exceeded: queued longer than " +
-                                std::to_string(job.deadlineSec) + "s limit";
-                    ++stats_.failed;
-                    ++stats_.deadlineExpired;
-                    countJobEvent("failed");
-                    countJobEvent("deadline_exceeded");
-                    finishJobLocked(*it);
+                    finishJobLocked(*it, JobState::Failed,
+                                    std::string(kDeadlineExceeded) +
+                                        ": queued longer than " +
+                                        std::to_string(job.deadlineSec) +
+                                        "s limit");
                     expired_queued.push_back(*it);
                     it = queue_.erase(it);
                 } else {
@@ -368,6 +385,7 @@ Server::watchdogLoop()
 void
 Server::executeJob(const std::shared_ptr<Job> &job)
 {
+    const GridRequest &request = job->request;
     // The work ledger: a ResultCache hit must advance neither counter —
     // that is the "zero generations and zero replays" service contract.
     const uint64_t gen_before = engine_.traceGenerations();
@@ -400,39 +418,12 @@ Server::executeJob(const std::shared_ptr<Job> &job)
         cached = true;
     } else {
         try {
-            if (job->shard) {
-                // A dispatched slice: this daemon is the peer. Run the
-                // slice locally and frame it as a shard artifact the
-                // coordinator's merge re-interleaves.
-                const std::vector<SweepResult> results =
-                    engine_.run(job->grid, job->insts, job->seed,
-                                &job->cancelRequested, job->spanLog.get());
-                const uint64_t emit_start = metrics::nowMicros();
-                artifact =
-                    job->format == "json"
-                        ? shardJson(results, *job->shard, job->gridRows,
-                                    job->gridFp)
-                        : shardCsv(results, *job->shard, job->gridRows,
-                                   job->gridFp);
-                if (job->spanLog) {
-                    job->spanLog->add(
-                        "report_emit", emit_start, metrics::nowMicros(),
-                        {{"bytes", std::to_string(artifact.size())}});
-                }
-            } else if (coordinator_) {
+            if (coordinator_ && !request.shard) {
                 // A whole-grid submit on a coordinator: slice it across
-                // the healthy peers and merge the answers.
-                FederatedRequest freq;
-                freq.suite = job->suite;
-                freq.format = job->format;
-                freq.benches = job->benches;
-                freq.cores = job->cores;
-                freq.insts = job->insts;
-                freq.seed = job->seed;
-                freq.grid = job->grid;
-                freq.gridFp = job->gridFp;
+                // the healthy peers and merge the answers. A shard submit
+                // is already some coordinator's slice and runs here.
                 const uint64_t fed_start = metrics::nowMicros();
-                fed = coordinator_->run(freq, &job->cancelRequested);
+                fed = coordinator_->run(request, &job->cancelRequested);
                 artifact = std::move(fed.artifact);
                 federated = true;
                 if (job->spanLog) {
@@ -446,17 +437,9 @@ Server::executeJob(const std::shared_ptr<Job> &job)
                           std::to_string(fed.localSlices)}});
                 }
             } else {
-                const std::vector<SweepResult> results =
-                    engine_.run(job->grid, job->insts, job->seed,
-                                &job->cancelRequested, job->spanLog.get());
-                const uint64_t emit_start = metrics::nowMicros();
-                artifact = job->format == "json" ? sweepJson(results)
-                                                 : sweepCsv(results);
-                if (job->spanLog) {
-                    job->spanLog->add(
-                        "report_emit", emit_start, metrics::nowMicros(),
-                        {{"bytes", std::to_string(artifact.size())}});
-                }
+                artifact = runGridLocally(engine_, request, request.shard,
+                                          &job->cancelRequested,
+                                          job->spanLog.get());
             }
             cache_.insert(job->fingerprint, artifact);
         } catch (const SweepCancelled &) {
@@ -471,49 +454,33 @@ Server::executeJob(const std::shared_ptr<Job> &job)
 
     metrics::histogram("icfp_job_duration_us", metrics::latencyBucketsUs())
         .observe(metrics::nowMicros() - job->submitUs);
+    // The watchdog set the flag: this is a timeout, not a client cancel,
+    // and answers as an explicit failure.
+    const bool timed_out = was_cancelled && job->deadlineHit.load();
+    if (timed_out) {
+        error = std::string(kDeadlineExceeded) + ": exceeded " +
+                std::to_string(job->deadlineSec) + "s limit";
+    }
+    const JobState state = !error.empty()  ? JobState::Failed
+                           : was_cancelled ? JobState::Cancelled
+                                           : JobState::Done;
     // Publish the trace BEFORE the state transition below makes the
     // job's completion observable: a waiting client that just got its
     // result can open the trace file immediately.
-    const char *outcome =
-        was_cancelled
-            ? (job->deadlineHit ? "deadline_exceeded" : "cancelled")
-            : (!error.empty() ? "failed"
-                              : (cached ? "done (cache hit)" : "done"));
-    publishJobTrace(*job, outcome);
+    publishJobTrace(*job, timed_out ? kDeadlineExceeded
+                          : cached  ? "done (cache hit)"
+                                    : stateName(state));
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (was_cancelled && job->deadlineHit) {
-            // The watchdog set the flag: this is a timeout, not a
-            // client cancel, and answers as an explicit failure.
-            job->state = JobState::Failed;
-            job->error = "deadline_exceeded: exceeded " +
-                         std::to_string(job->deadlineSec) + "s limit";
-            ++stats_.failed;
-            ++stats_.deadlineExpired;
-            countJobEvent("failed");
-            countJobEvent("deadline_exceeded");
-        } else if (was_cancelled) {
-            job->state = JobState::Cancelled;
-            ++stats_.cancelled;
-            countJobEvent("cancelled");
-        } else if (!error.empty()) {
-            job->state = JobState::Failed;
-            job->error = error;
-            ++stats_.failed;
-            countJobEvent("failed");
-        } else {
-            job->state = JobState::Done;
+        if (state == JobState::Done) {
             job->cached = cached;
             job->artifact = std::move(artifact);
-            ++stats_.completed;
-            ++(cached ? stats_.cacheHits : stats_.cacheMisses);
-            countJobEvent("completed");
         }
-        finishJobLocked(job);
+        finishJobLocked(job, state, error);
     }
     completeCv_.notify_all();
 
-    if (was_cancelled && job->deadlineHit) {
+    if (timed_out) {
         ledgerLine(job->id, "fp=%s DEADLINE_EXCEEDED limit=%llus",
                    fingerprintHex(job->fingerprint).c_str(),
                    (unsigned long long)job->deadlineSec);
@@ -540,7 +507,7 @@ Server::executeJob(const std::shared_ptr<Job> &job)
                    fingerprintHex(job->fingerprint).c_str(),
                    cached ? "hit" : "miss",
                    (unsigned long long)generations,
-                   (unsigned long long)replays, job->grid.size(),
+                   (unsigned long long)replays, localRows(request),
                    job->artifact.size(), fed_suffix);
     } else {
         ledgerLine(job->id, "fp=%s FAILED: %s",
@@ -599,11 +566,23 @@ Server::jobStatusFrame(const Job &job) const
 Frame
 Server::jobResultFrame(const Job &job) const
 {
-    Frame frame("result");
-    frame.addUint("job", job.id);
-    frame.addUint("cached", job.cached ? 1 : 0);
-    frame.addString("payload", job.artifact);
-    return frame;
+    const std::string name = "job " + std::to_string(job.id);
+    switch (job.state) {
+      case JobState::Done: {
+        Frame frame("result");
+        frame.addUint("job", job.id);
+        frame.addUint("cached", job.cached ? 1 : 0);
+        frame.addString("payload", job.artifact);
+        return frame;
+      }
+      case JobState::Failed:
+        return errorFrame(name + " failed: " + job.error);
+      case JobState::Cancelled:
+        return errorFrame(name + " cancelled");
+      default:
+        return errorFrame(name + " not finished (state=" +
+                          stateName(job.state) + ")");
+    }
 }
 
 Frame
@@ -749,33 +728,27 @@ Server::handleSubmit(const Frame &request, std::shared_ptr<Job> *out)
     }
 
     auto job = std::make_shared<Job>();
-    job->suite = suite;
-    job->format = format;
-    job->insts = insts;
-    job->seed = seed;
+    GridRequest &req = job->request;
+    req.suite = suite;
+    req.format = format;
+    req.insts = insts;
+    req.seed = seed;
     // Normalized lists: what a coordinator forwards so a peer's
     // expandGrid reproduces this grid exactly.
-    job->benches = joinComma(spec.benches);
+    req.benches = joinComma(spec.benches);
     std::vector<std::string> core_names;
     for (const CoreKind kind : kinds)
         core_names.push_back(coreKindName(kind));
-    job->cores = joinComma(core_names);
-
-    std::vector<SweepJob> full = expandGrid(spec);
-    job->gridRows = full.size();
-    job->gridFp = gridFingerprint(full, insts, seed);
+    req.cores = joinComma(core_names);
+    req.grid = expandGrid(spec);
+    req.gridFp = gridFingerprint(req.grid, insts, seed);
+    req.shard = shard;
     // The cache key is always over the FULL grid plus the shard
     // identity: a shard 1/2 of {a,b} and a whole-grid submit of {a}
     // expand to the same job list but frame different bytes.
     job->fingerprint = resultCacheKey(
-        full, insts, seed, suite, format, registryFingerprint(),
-        shard ? "shard=" + shardText(*shard) : std::string());
-    if (shard) {
-        job->shard = *shard;
-        job->grid = shardJobs(full, *shard);
-    } else {
-        job->grid = std::move(full);
-    }
+        req.grid, insts, seed, suite, format, registryFingerprint(),
+        shard ? "shard=" + shardName(*shard) : std::string());
     // Per-job deadline: frame field overrides the daemon default; 0
     // (either way) means unbounded. The clock starts at submission —
     // queue wait counts against the limit, matching what a client's own
@@ -821,10 +794,10 @@ Server::handleSubmit(const Frame &request, std::shared_ptr<Job> *out)
     Frame frame("submitted");
     frame.addUint("job", job->id);
     frame.addString("fp", fingerprintHex(job->fingerprint));
-    frame.addUint("rows", job->grid.size());
-    frame.addUint("grid_rows", job->gridRows);
-    if (job->shard)
-        frame.addString("shard", shardText(*job->shard));
+    frame.addUint("rows", localRows(req));
+    frame.addUint("grid_rows", req.grid.size());
+    if (shard)
+        frame.addString("shard", shardName(*shard));
     if (!job->traceFile.empty())
         frame.addString("trace_file", job->traceFile);
     return frame;
@@ -907,10 +880,7 @@ Server::handleCancel(const Frame &request)
                         break;
                     }
                 }
-                job->state = JobState::Cancelled;
-                ++stats_.cancelled;
-                countJobEvent("cancelled");
-                finishJobLocked(job);
+                finishJobLocked(job, JobState::Cancelled);
                 queued_cancel = job;
                 response = Frame("cancelled");
                 response.addUint("job", job->id);
@@ -992,31 +962,16 @@ Server::handleConnection(int fd, uint64_t conn_id)
                     writeFrame(fd, daemonStatusFrame());
                     continue;
                 }
-                std::shared_ptr<Job> job;
-                if (id) {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    const auto it = jobs_.find(*id);
-                    if (it != jobs_.end())
-                        job = it->second;
-                }
                 Frame response = errorFrame(
                     !id ? "missing job id"
                         : "unknown job " + std::to_string(*id));
-                if (job) {
+                if (id) {
                     std::lock_guard<std::mutex> lock(mutex_);
-                    if (type == "status") {
-                        response = jobStatusFrame(*job);
-                    } else if (job->state == JobState::Done) {
-                        response = jobResultFrame(*job);
-                    } else if (job->state == JobState::Failed) {
-                        response = errorFrame("job " +
-                                              std::to_string(job->id) +
-                                              " failed: " + job->error);
-                    } else {
-                        response = errorFrame(
-                            "job " + std::to_string(job->id) +
-                            " not finished (state=" +
-                            stateName(job->state) + ")");
+                    const auto it = jobs_.find(*id);
+                    if (it != jobs_.end()) {
+                        response = type == "status"
+                                       ? jobStatusFrame(*it->second)
+                                       : jobResultFrame(*it->second);
                     }
                 }
                 writeFrame(fd, response);
@@ -1034,14 +989,7 @@ Server::handleConnection(int fd, uint64_t conn_id)
                                job->state == JobState::Failed ||
                                job->state == JobState::Cancelled;
                     });
-                    Frame response = errorFrame(
-                        "job " + std::to_string(job->id) + " cancelled");
-                    if (job->state == JobState::Done)
-                        response = jobResultFrame(*job);
-                    else if (job->state == JobState::Failed)
-                        response =
-                            errorFrame("job " + std::to_string(job->id) +
-                                       " failed: " + job->error);
+                    const Frame response = jobResultFrame(*job);
                     lock.unlock();
                     writeFrame(fd, response);
                 }

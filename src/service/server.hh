@@ -19,13 +19,13 @@
  *    queue answers an explicit `busy` frame — backpressure is always
  *    visible to the client, never a silent drop.
  *  - The dispatcher executes jobs one at a time in submission order
- *    (deterministic, and one grid already saturates the host): each
- *    request's grid is sharded across the engine's worker pool — the
- *    engine's atomic-counter parallelFor claims grid cells round-robin
- *    across `--jobs` threads after generating each distinct golden
- *    trace exactly once — and the results are rendered with the same
- *    sweepCsv()/sweepJson() emitters `icfp-sim sweep` uses, so the
- *    artifact is byte-identical to a cold single-process run.
+ *    (deterministic, and one grid already saturates the host). A
+ *    coordinator federates a whole-grid job; every other job — a
+ *    plain daemon's grid or a peer's `shard=i/N` slice — takes the one
+ *    local path, runGridLocally() (service/federation/coordinator.hh),
+ *    which the coordinator's own fallbacks take too: the engine's pool
+ *    runs the grid and sweepArtifact(), the `icfp-sim sweep` emitter,
+ *    renders it, so the artifact is byte-identical to a cold run.
  *  - Completed artifacts land in the ResultCache keyed by the full
  *    request fingerprint (service/result_cache.hh); a repeated submit
  *    on a warm daemon performs zero trace generations and zero replays,
@@ -170,25 +170,10 @@ class Server
     struct Job
     {
         uint64_t id = 0;
-        std::string suite;
-        std::string format;          ///< "csv" | "json"
-        /** The jobs this daemon will execute: the full expansion, or —
-         *  for a shard submit — just this daemon's slice of it. */
-        std::vector<SweepJob> grid;
-        uint64_t insts = 0;
-        std::optional<uint64_t> seed;
+        /** What to run: the full grid, or — for a shard submit — one
+         *  slice of it (request.shard). */
+        GridRequest request;
         uint64_t fingerprint = 0;    ///< resultCacheKey()
-
-        /** Set for `submit` frames carrying a shard field: this job is
-         *  one slice of a larger grid (a federation dispatch) and its
-         *  artifact is shard-framed (sim/merge.hh). */
-        std::optional<ShardSpec> shard;
-        uint64_t gridRows = 0; ///< full unsharded grid row count
-        uint64_t gridFp = 0;   ///< gridFingerprint() of the full grid
-        /** Normalized comma lists ("all" expanded) — what a coordinator
-         *  forwards to peers so they re-expand the identical grid. */
-        std::string benches;
-        std::string cores;
 
         /** Cooperative cancel flag handed to SweepEngine::run(); set by
          *  the cancel verb or the deadline watchdog while the engine is
@@ -197,7 +182,7 @@ class Server
         bool hasDeadline = false;
         std::chrono::steady_clock::time_point deadlineAt{};
         uint64_t deadlineSec = 0;    ///< for the error message
-        bool deadlineHit = false;    ///< watchdog-cancelled, not client
+        std::atomic<bool> deadlineHit{false}; ///< watchdog, not client
 
         JobState state = JobState::Queued;
         bool cached = false;
@@ -231,11 +216,14 @@ class Server
     void publishJobTrace(const Job &job, const char *outcome);
     /** Whole seconds since start(). */
     uint64_t uptimeSec() const;
-    /** Shared end-of-life bookkeeping (mutex_ held): frees the queue
-     *  slot and retires the record into the bounded finished history.
-     *  Callers notify completeCv_ after unlocking. */
-    void finishJobLocked(const std::shared_ptr<Job> &job);
+    /** The one finish transition (mutex_ held): sets @p state and
+     *  @p error, bumps stats_ and the icfp_jobs_* counters, frees the
+     *  queue slot and retires the record into the bounded finished
+     *  history. Callers notify completeCv_ after unlocking. */
+    void finishJobLocked(const std::shared_ptr<Job> &job, JobState state,
+                         std::string error = std::string());
     Frame jobStatusFrame(const Job &job) const;
+    /** The `result` and `submit wait` answer, for any state. */
     Frame jobResultFrame(const Job &job) const;
     /** The no-job `status` answer: daemon identity, queue occupancy,
      *  the running job (if any), and — on a coordinator — one flat

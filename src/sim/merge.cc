@@ -146,13 +146,6 @@ parseJsonArtifact(const std::string &what,
     return artifact;
 }
 
-std::string
-shardName(const ShardSpec &shard)
-{
-    return std::to_string(shard.index + 1) + "/" +
-           std::to_string(shard.count);
-}
-
 /** "shard 2/3 (from peer-a.csv)" — merge errors name the offending
  *  input, not just its coordinates, so a failed N-way federation merge
  *  points at the peer/file to inspect. */
@@ -227,6 +220,20 @@ shardJson(const std::vector<SweepResult> &results, const ShardSpec &shard,
     }
     os << "]}\n";
     return os.str();
+}
+
+std::string
+sweepArtifact(const std::vector<SweepResult> &results,
+              const std::string &format,
+              const std::optional<ShardSpec> &shard, uint64_t grid_rows,
+              uint64_t grid_fp)
+{
+    const bool json = format == "json";
+    if (shard) {
+        return json ? shardJson(results, *shard, grid_rows, grid_fp)
+                    : shardCsv(results, *shard, grid_rows, grid_fp);
+    }
+    return json ? sweepJson(results) : sweepCsv(results);
 }
 
 ShardArtifact
@@ -311,8 +318,7 @@ mergeShards(const std::vector<ShardArtifact> &artifacts)
     for (unsigned i = 0; i < count; ++i) {
         if (!by_index[i]) {
             missing += missing.empty() ? "" : ", ";
-            missing +=
-                std::to_string(i + 1) + "/" + std::to_string(count);
+            missing += shardName(ShardSpec{i, count});
         }
     }
     if (!missing.empty())

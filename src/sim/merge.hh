@@ -34,6 +34,7 @@
 #ifndef ICFP_SIM_MERGE_HH
 #define ICFP_SIM_MERGE_HH
 
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -77,6 +78,14 @@ std::string shardCsv(const std::vector<SweepResult> &results,
 std::string shardJson(const std::vector<SweepResult> &results,
                       const ShardSpec &shard, uint64_t grid_rows,
                       uint64_t grid_fp);
+
+/** @p results as a @p format ("csv" | "json") artifact: the plain
+ *  report, or the shard artifact when @p shard is set — even 1/1, as
+ *  `sweep --shard 1/1` frames it. The only place that choice is made. */
+std::string sweepArtifact(const std::vector<SweepResult> &results,
+                          const std::string &format,
+                          const std::optional<ShardSpec> &shard,
+                          uint64_t grid_rows, uint64_t grid_fp);
 
 /** One parsed shard artifact: header metadata + verbatim row text. */
 struct ShardArtifact

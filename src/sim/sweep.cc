@@ -82,6 +82,13 @@ parseShardSpec(const std::string &text)
     return shard;
 }
 
+std::string
+shardName(const ShardSpec &shard)
+{
+    return std::to_string(shard.index + 1) + "/" +
+           std::to_string(shard.count);
+}
+
 size_t
 shardRowCount(size_t grid_size, const ShardSpec &shard)
 {
@@ -282,6 +289,22 @@ SweepEngine::run(const SweepSpec &spec)
     return run(expandGrid(spec), spec.insts, spec.seed);
 }
 
+SweepResult
+SweepEngine::replayCell(const SweepJob &job, const Trace &trace)
+{
+    SweepResult out;
+    out.bench = job.bench;
+    out.variant = job.variant;
+    out.core = job.core;
+    const uint64_t t0 = metrics::nowMicros();
+    out.result = simulate(job.core, job.config, trace);
+    replays_.fetch_add(1);
+    static metrics::Counter &replays_total = metrics::counter("icfp_replays");
+    replays_total.inc();
+    observeReplay(job.bench, job.core, metrics::nowMicros() - t0);
+    return out;
+}
+
 std::vector<SweepResult>
 SweepEngine::runOnTrace(const Trace &trace,
                         const std::vector<SweepVariant> &variants,
@@ -290,18 +313,8 @@ SweepEngine::runOnTrace(const Trace &trace,
     std::vector<SweepResult> results(variants.size());
     parallelFor(variants.size(), jobs_, [&](size_t i) {
         const SweepVariant &variant = variants[i];
-        SweepResult &out = results[i];
-        out.bench = bench_label;
-        out.variant = variant.label;
-        out.core = variant.core;
-        const uint64_t t0 = metrics::nowMicros();
-        out.result = simulate(variant.core, variant.config, trace);
-        replays_.fetch_add(1);
-        static metrics::Counter &replays_total =
-            metrics::counter("icfp_replays");
-        replays_total.inc();
-        observeReplay(bench_label, variant.core,
-                      metrics::nowMicros() - t0);
+        results[i] = replayCell(
+            {bench_label, variant.label, variant.core, variant.config}, trace);
     });
     return results;
 }
@@ -355,18 +368,7 @@ SweepEngine::run(const std::vector<SweepJob> &jobs, uint64_t insts,
             throw std::runtime_error(
                 "injected fault: sweep job execution failed");
         const SweepJob &job = jobs[i];
-        SweepResult &out = results[i];
-        out.bench = job.bench;
-        out.variant = job.variant;
-        out.core = job.core;
-        const uint64_t t0 = metrics::nowMicros();
-        out.result = simulate(job.core, job.config,
-                              trace(job.bench, insts, seed));
-        replays_.fetch_add(1);
-        static metrics::Counter &replays_total =
-            metrics::counter("icfp_replays");
-        replays_total.inc();
-        observeReplay(job.bench, job.core, metrics::nowMicros() - t0);
+        results[i] = replayCell(job, trace(job.bench, insts, seed));
     });
     if (spans) {
         spans->add("replay", gen_end, metrics::nowMicros(),

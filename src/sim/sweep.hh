@@ -106,6 +106,10 @@ constexpr unsigned kMaxShards = 100000;
  */
 std::optional<ShardSpec> parseShardSpec(const std::string &text);
 
+/** "2/3": the 1-based "i/N" text parseShardSpec() reads — the notation
+ *  of `--shard`, submit frames, artifact sources and diagnostics. */
+std::string shardName(const ShardSpec &shard);
+
 /** Row count shard @p shard owns in a @p grid_size grid. */
 size_t shardRowCount(size_t grid_size, const ShardSpec &shard);
 
@@ -258,6 +262,10 @@ class SweepEngine
 
     /** Generate-once trace lookup; thread-safe. */
     const Trace &traceLocked(const TraceKey &key);
+
+    /** Replay one grid cell on @p trace and bump the replay ledgers
+     *  (replays(), icfp_replays, the per-cell duration histogram). */
+    SweepResult replayCell(const SweepJob &job, const Trace &trace);
 
     unsigned jobs_;
     std::mutex mutex_; ///< guards traces_ (map insertions only)

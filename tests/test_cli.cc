@@ -208,6 +208,30 @@ TEST_F(CliTest, KeepsEveryEarlierRefusal)
         {{"sweep", "--load-trace", "t.trc"}, "--load-trace"},
         {{"suite", "--save-trace", "t.trc"}, "--save-trace"},
         {{"submit", "--socket", s, "--save-trace", "t.trc"}, "--save-trace"},
+        // Option pairs a verb reads one at a time: together, one would be
+        // ignored. Refused before any work (no file is loaded or made).
+        {{"run", "--load-trace", "g.trc", "--seed", "7"},
+         "run: --seed cannot be used with --load-trace"},
+        {{"run", "--load-trace", "g.trc", "--save-trace", "x.trc"},
+         "run: --save-trace cannot be used with --load-trace"},
+        {{"run", "--load-trace", "g.trc", "--insts", "5"},
+         "run: --insts cannot be used with --load-trace"},
+        {{"compare", "--load-trace", "g.trc", "--insts", "5"},
+         "compare: --insts cannot be used with --load-trace"},
+        {{"compare", "--load-trace", "g.trc", "--seed", "7"},
+         "compare: --seed cannot be used with --load-trace"},
+        {{"disasm", "--load-trace", "g.trc", "--insts", "5"},
+         "disasm: --insts cannot be used with --load-trace"},
+        {{"disasm", "--load-trace", "g.trc", "--save-trace", "x.trc"},
+         "disasm: --save-trace cannot be used with --load-trace"},
+        {{"run", "--load-trace", "g.trc", "--bench", "mcf"},
+         "run: --bench cannot be used with --load-trace"},
+        {{"disasm", "--load-trace", "g.trc", "--bench", "mcf"},
+         "disasm: --bench cannot be used with --load-trace"},
+        {{"compare", "--load-trace", "g.trc", "--trace-dir", "tr"},
+         "compare: --trace-dir cannot be used with --load-trace"},
+        {{"submit", "--socket", s, "--out", "never.csv"},
+         "submit: --out needs --wait"},
         // Required options and operands.
         {{"ping"}, "requires --socket"},
         {{"result", "--socket", s}, "requires --job"},
@@ -235,6 +259,8 @@ TEST_F(CliTest, KeepsEveryEarlierRefusal)
     };
     for (const auto &[args, token] : cases)
         expectRefused(args, token);
+    EXPECT_FALSE(fs::exists(fs::path(dir_) / "x.trc"));
+    EXPECT_FALSE(fs::exists(fs::path(dir_) / "never.csv"));
 }
 
 TEST_F(CliTest, BadValuesExitOneWithoutASignal)

@@ -920,6 +920,14 @@ TEST_F(ServiceTest, CancelQueuedJobFreesItsQueueSlot)
     Frame status("status");
     status.addUint("job", queued_id);
     EXPECT_EQ(client.request(status).stringField("state"), "cancelled");
+    // A cancelled job is finished: `result` answers what `submit wait`
+    // would, not "not finished".
+    Frame result("result");
+    result.addUint("job", queued_id);
+    const Frame fetched = client.request(result);
+    ASSERT_EQ(fetched.type(), "error");
+    EXPECT_EQ(fetched.stringField("message"),
+              "job " + std::to_string(queued_id) + " cancelled");
 
     // ...and accepted once the cancelled job's slot is free.
     EXPECT_EQ(client.request(submitFrame("vpr", "in-order", 2000, false))
@@ -1235,6 +1243,19 @@ TEST_F(ServiceTest, ShardSubmitsMergeByteIdenticallyToUnshardedSweep)
     EXPECT_EQ(mergeShards(parts),
               directSweep("mcf,gzip,equake", "in-order,icfp", 3000));
 
+    // Naming the one-slice shard still frames the artifact (like
+    // `sweep --shard 1/1`), and it merges alone into the plain report.
+    Frame one = submitFrame("mcf,gzip,equake", "in-order,icfp", 3000, true);
+    one.addString("shard", "1/1");
+    ASSERT_EQ(client.request(one).type(), "submitted");
+    const Frame one_result = client.readFrame();
+    ASSERT_EQ(one_result.type(), "result");
+    const std::string one_payload = one_result.stringField("payload");
+    EXPECT_EQ(one_payload.rfind("#shard index=1 count=1 grid=6 ", 0), 0u)
+        << one_payload;
+    EXPECT_EQ(mergeShards({parseShardArtifact(one_payload, "shard 1/1")}),
+              directSweep("mcf,gzip,equake", "in-order,icfp", 3000));
+
     // A shard request and a whole-grid request of the same sweep have
     // different artifacts, so they must have different cache keys.
     const Frame whole_ack = client.request(
@@ -1343,6 +1364,42 @@ TEST_F(FederationTest, CoordinatorMergesPeerSlicesByteIdentically)
     drain(*peer2.server);
 }
 
+TEST_F(FederationTest, ShardSubmitToCoordinatorRunsLocallyNeverRefederated)
+{
+    Peer peer1 = makePeer("peer1");
+    Peer peer2 = makePeer("peer2");
+    std::unique_ptr<Server> coord =
+        makeCoordinator({peer1.endpoint, peer2.endpoint}, 2);
+
+    // A shard submit is already some coordinator's slice: this one runs
+    // it on its own engine and answers the framed slice.
+    std::vector<ShardArtifact> parts;
+    ServiceClient client(socket_);
+    for (const char *shard : {"1/2", "2/2"}) {
+        Frame submit = submitFrame("mcf,gzip,equake", "in-order,icfp",
+                                   3000, true);
+        submit.addString("shard", shard);
+        ASSERT_EQ(client.request(submit).type(), "submitted") << shard;
+        const Frame result = client.readFrame();
+        ASSERT_EQ(result.type(), "result") << shard;
+        parts.push_back(parseShardArtifact(result.stringField("payload"),
+                                           std::string("shard ") + shard));
+    }
+    EXPECT_EQ(parts[0].shard.index, 0u);
+    EXPECT_EQ(parts[0].shard.count, 2u);
+    EXPECT_EQ(parts[0].rows.size(), 3u);
+    EXPECT_EQ(mergeShards(parts),
+              directSweep("mcf,gzip,equake", "in-order,icfp", 3000));
+
+    EXPECT_EQ(coord->engine().replays(), 6u);
+    EXPECT_EQ(peer1.server->engine().replays(), 0u);
+    EXPECT_EQ(peer2.server->engine().replays(), 0u);
+
+    drain(*coord);
+    drain(*peer1.server);
+    drain(*peer2.server);
+}
+
 TEST_F(FederationTest, AllPeersDownDegradesToLocalByteIdentically)
 {
     // Reserve a port that nothing answers on by binding and closing it.
@@ -1372,10 +1429,13 @@ TEST_F(FederationTest, MismatchedFingerprintPeerIsRefusedNeverDispatched)
     // never enter a merge.
     Listener fake = Listener::listenTcp("127.0.0.1:0");
     const std::string fake_spec = fake.boundSpec();
+    // Read once: the thread must not race the fd member fake.close()
+    // resets.
+    const int fake_fd = fake.fd();
     std::atomic<unsigned> submits_seen{0};
     std::thread imposter([&] {
         while (true) {
-            const int fd = ::accept(fake.fd(), nullptr, nullptr);
+            const int fd = ::accept(fake_fd, nullptr, nullptr);
             if (fd < 0)
                 return; // listener closed: test over
             try {
@@ -1434,10 +1494,10 @@ TEST_F(FederationTest, MismatchedFingerprintPeerIsRefusedNeverDispatched)
 
     drain(*coord);
     // shutdown() (not just close) is what actually wakes a thread
-    // blocked in accept() on the listener.
-    ::shutdown(fake.fd(), SHUT_RDWR);
-    fake.close();
+    // blocked in accept() on the listener; close only once it is gone.
+    ::shutdown(fake_fd, SHUT_RDWR);
     imposter.join();
+    fake.close();
 }
 
 TEST_F(FederationTest, PeerDeathMidCollectRedispatchesByteIdentically)
@@ -1447,6 +1507,7 @@ TEST_F(FederationTest, PeerDeathMidCollectRedispatchesByteIdentically)
     // re-dispatch the slice and still merge byte-identical artifacts.
     Listener fake = Listener::listenTcp("127.0.0.1:0");
     const std::string fake_spec = fake.boundSpec();
+    const int fake_fd = fake.fd(); // read once, before the thread starts
     std::atomic<bool> fake_died{false};
     // Thread per connection: the coordinator holds a health-poll
     // session open while the dispatch session arrives on a second one.
@@ -1484,7 +1545,7 @@ TEST_F(FederationTest, PeerDeathMidCollectRedispatchesByteIdentically)
     std::mutex sessions_mutex;
     std::thread doomed([&] {
         while (true) {
-            const int fd = ::accept(fake.fd(), nullptr, nullptr);
+            const int fd = ::accept(fake_fd, nullptr, nullptr);
             if (fd < 0)
                 return;
             std::lock_guard<std::mutex> lock(sessions_mutex);
@@ -1508,11 +1569,11 @@ TEST_F(FederationTest, PeerDeathMidCollectRedispatchesByteIdentically)
 
     drain(*coord);
     drain(*survivor.server);
-    ::shutdown(fake.fd(), SHUT_RDWR); // wakes the blocked accept()
-    fake.close();
+    ::shutdown(fake_fd, SHUT_RDWR); // wakes the blocked accept()
     doomed.join();
     for (std::thread &t : sessions)
         t.join();
+    fake.close();
 }
 
 /** Federation tests that arm the process-global fault registry. */

@@ -36,7 +36,8 @@
  *
  * Which options each verb accepts is the kOptions table below; running
  * icfp-sim with no arguments prints it per verb. An option a verb does
- * not read is refused, never ignored.
+ * not read is refused, never ignored; so is a combination kRules names
+ * (e.g. --insts with --load-trace).
  *
  * Exit status: 0 on success, 1 on usage errors.
  */
@@ -274,6 +275,33 @@ const OptionSpec kOptions[] = {
 };
 static_assert(std::size(kOptions) <= 64, "Options::seen is 64 bits");
 
+/** Two options @p verbs each read, refused in a combination where one
+ *  would be silently ignored: @p option needs @p other (needsOther), or
+ *  excludes it. */
+struct OptionRule
+{
+    Field option;
+    Field other;
+    bool needsOther;
+    uint32_t verbs;
+    const char *why;
+};
+
+const OptionRule kRules[] = {
+    {&Options::insts, &Options::loadTrace, false, kOneTrace,
+     "a loaded trace has its own length"},
+    {&Options::seed, &Options::loadTrace, false, kOneTrace,
+     "a loaded trace has its own workload seed"},
+    {&Options::saveTrace, &Options::loadTrace, false, kOneTrace,
+     "a loaded trace is not saved again"},
+    {&Options::bench, &Options::loadTrace, false, kRun | kDisasm,
+     "a loaded trace is not generated from a benchmark"},
+    {&Options::traceDir, &Options::loadTrace, false, kCompare,
+     "a loaded trace does not go through the trace store"},
+    {&Options::out, &Options::wait, true, kSubmit,
+     "without it no artifact is fetched"},
+};
+
 const OptionSpec &
 optionFor(Field field)
 {
@@ -436,6 +464,23 @@ printStoreStats(const SweepEngine &engine)
                  store->dir().c_str());
 }
 
+/** Check that --out (if given) is writable before any work is done. The
+ *  probe opens in append mode, so it never truncates an existing report;
+ *  emitPayload() rewrites the file once there is something to write. */
+bool
+outWritable(const Options &opt)
+{
+    if (!opt.given(&Options::out))
+        return true;
+    std::FILE *f = std::fopen(opt.out.c_str(), "a");
+    if (!f) {
+        std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
+        return false;
+    }
+    std::fclose(f);
+    return true;
+}
+
 /** Write @p text to --out, or to stdout without it. */
 int
 emitPayload(const Options &opt, const std::string &text)
@@ -455,8 +500,8 @@ emitPayload(const Options &opt, const std::string &text)
 }
 
 /**
- * Emit a sweep report per --format/--out. With @p shard, emits a shard
- * artifact carrying (shard, @p grid_rows) metadata for `icfp-sim merge`.
+ * Emit a sweep report per --format/--out: the human table, or the
+ * sweepArtifact() csv/json (a mergeable shard artifact with @p shard).
  */
 int
 emitSweep(const Options &opt, const std::optional<ShardSpec> &shard,
@@ -464,15 +509,9 @@ emitSweep(const Options &opt, const std::optional<ShardSpec> &shard,
           uint64_t grid_fp)
 {
     std::string text;
-    if (shard && opt.format == "csv") {
-        text = shardCsv(results, *shard, grid_rows, grid_fp);
-    } else if (shard && opt.format == "json") {
-        text = shardJson(results, *shard, grid_rows, grid_fp);
-    } else if (opt.format == "csv") {
-        text = sweepCsv(results);
-    } else if (opt.format == "json") {
-        text = sweepJson(results);
-    } else { // "table", the only other word --format accepts
+    if (opt.format != "table") {
+        text = sweepArtifact(results, opt.format, shard, grid_rows, grid_fp);
+    } else {
         Table t("Sweep results (" + std::to_string(results.size()) +
                 " runs)");
         t.setColumns({"bench/variant", "IPC", "D$ miss/KI", "L2 miss/KI",
@@ -684,16 +723,8 @@ cmdSweep(const Options &opt)
     spec.variants = coreVariants(resolveCores(opt.cores), makeConfig(opt));
     spec.insts = opt.insts;
     spec.seed = opt.ifGiven(&Options::seed);
-    if (opt.given(&Options::out)) {
-        // Writability probe in append mode: never truncates existing
-        // results; emitSweep rewrites the file after the grid completes.
-        std::FILE *f = std::fopen(opt.out.c_str(), "a");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
-            return 1;
-        }
-        std::fclose(f);
-    }
+    if (!outWritable(opt))
+        return 1;
 
     const std::vector<SweepJob> grid = expandGrid(spec);
     const std::vector<SweepJob> jobs = shard ? shardJobs(grid, *shard) : grid;
@@ -879,17 +910,10 @@ cmdSubmit(const Options &opt)
         std::fprintf(stderr, "submit: --format must be csv or json\n");
         return 1;
     }
-    if (opt.given(&Options::out)) {
-        // Writability probe in append mode, like cmdSweep: the daemon
-        // must not burn grid time for an artifact with nowhere to land
-        // (and an existing report must not be truncated by the probe).
-        std::FILE *f = std::fopen(opt.out.c_str(), "a");
-        if (!f) {
-            std::fprintf(stderr, "cannot open %s\n", opt.out.c_str());
-            return 1;
-        }
-        std::fclose(f);
-    }
+    // The daemon must not burn grid time for an artifact with nowhere
+    // to land.
+    if (!outWritable(opt))
+        return 1;
     try {
         service::ServiceClient client(opt.socket, clientOptions(opt));
         service::Frame request("submit");
@@ -1296,7 +1320,8 @@ expected(const OptionSpec &spec)
 /**
  * Parse argv[2..] for @p opt->verb: look each option up, refuse it if
  * the verb does not read it, check and store its value, and record it
- * as seen. False after printing why.
+ * as seen; then check required options and kRules. False after printing
+ * why.
  */
 bool
 parseArgs(int argc, char **argv, Options *opt)
@@ -1348,6 +1373,16 @@ parseArgs(int argc, char **argv, Options *opt)
         if (!opt->given(field)) {
             std::fprintf(stderr, "%s: requires %s\n", verb.name,
                          optionUsage(optionFor(field)).c_str());
+            return false;
+        }
+    }
+    for (const OptionRule &rule : kRules) {
+        if ((rule.verbs & verb.bit) && opt->given(rule.option) &&
+            opt->given(rule.other) != rule.needsOther) {
+            std::fprintf(stderr, "%s: %s %s %s (%s)\n", verb.name,
+                         optionFor(rule.option).name,
+                         rule.needsOther ? "needs" : "cannot be used with",
+                         optionFor(rule.other).name, rule.why);
             return false;
         }
     }
