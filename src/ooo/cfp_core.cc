@@ -52,6 +52,13 @@ CfpCore::sliceOut(Entry *entry, bool from_iq)
     entry->sliced = true;
     sliced_[entry->idx] = true;
     ++slicedInsts_;
+    unschedule(*entry);
+
+    // Window consumers linked to this entry now wait on a slice entry:
+    // park them until a rally executes it (wakeParked validates them).
+    takeConsumers(entry->idx, [&](const Entry &consumer) {
+        parked_.push_back(consumer.idx);
+    });
 
     // Keep the slice buffer in program order so a deferred instruction's
     // producers are always closer to the head than it is (rally scans
@@ -67,18 +74,37 @@ CfpCore::sliceOut(Entry *entry, bool from_iq)
 void
 CfpCore::drainDependents(size_t from)
 {
-    for (Entry &entry : rob_) {
-        if (entry.idx <= from || entry.issued || entry.sliced)
+    for (size_t i = std::max(from + 1, commitIdx_); i < fetchIdx_; ++i) {
+        Entry &entry = robAt(i);
+        if (entry.issued || entry.sliced)
             continue;
         if (slice_.size() >= cfp_.sliceEntries) {
             // Slice buffer exhausted: the dependent simply stays in the
             // issue queue and blocks there (graceful degradation).
-            ++sliceFullStalls_;
             return;
         }
         if (anySourceDeferred(entry, cycle_))
             sliceOut(&entry, /*from_iq=*/true);
     }
+}
+
+void
+CfpCore::wakeParked()
+{
+    size_t kept = 0;
+    for (const size_t idx : parked_) {
+        if (!inRob(idx))
+            continue;
+        Entry &entry = robAt(idx);
+        if (entry.issued || entry.sliced || entry.readyAt != kCycleNever)
+            continue;
+        const Cycle ready = operandsReadyAt(entry);
+        if (ready != kCycleNever)
+            schedule(&entry, ready);
+        else
+            parked_[kept++] = idx;
+    }
+    parked_.resize(kept);
 }
 
 void
@@ -92,7 +118,6 @@ CfpCore::rallyExecute(const Trace &trace, Entry *entry)
     const BranchPrediction pred = entry->pred;
     const DynInst &di = trace[idx];
     entry->issued = true;
-    entry->issuedAt = cycle_;
     entry = nullptr;
     ++rallyInsts_;
 
@@ -141,6 +166,8 @@ CfpCore::rallyExecute(const Trace &trace, Entry *entry)
         break;
     }
     doneAt_[idx] = done;
+    if (!parked_.empty())
+        wakeParked();
     if (dependent_miss) {
         // Dependent miss: re-defer. The entry's own result time is the
         // new fill; its slice consumers wait on it via dataflow, giving
@@ -150,7 +177,7 @@ CfpCore::rallyExecute(const Trace &trace, Entry *entry)
     }
 }
 
-void
+unsigned
 CfpCore::drainStores(const Trace &trace, MemOverlay *memory)
 {
     postCommitSb_.drain(cycle_, memory);
@@ -167,6 +194,25 @@ CfpCore::drainStores(const Trace &trace, MemOverlay *memory)
         pendingStores_.pop_front();
         ++drained;
     }
+    return drained;
+}
+
+Cycle
+CfpCore::nextEventCycle() const
+{
+    Cycle wake = OooCore::nextEventCycle();
+    if (!pendingStores_.empty()) {
+        const size_t store = pendingStores_.front().idx;
+        if (storeExecuted_[store])
+            wake = std::min(wake, doneAt_[store]);
+    }
+    // Only the rally's scan window can execute without a new event.
+    const size_t scan = std::min<size_t>(slice_.size(), cfp_.rallyScanWidth);
+    for (size_t i = 0; i < scan; ++i) {
+        if (!slice_[i].issued)
+            wake = std::min(wake, operandsReadyAt(slice_[i]));
+    }
+    return wake;
 }
 
 RunResult
@@ -181,10 +227,10 @@ CfpCore::run(const Trace &trace)
     storeExecuted_.assign(trace.size(), false);
     slice_.clear();
     pendingStores_.clear();
+    parked_.clear();
     slicedInsts_ = 0;
     rallyInsts_ = 0;
     sliceSquashes_ = 0;
-    sliceFullStalls_ = 0;
 
     RunResult result;
     result.instructions = trace.size();
@@ -192,23 +238,18 @@ CfpCore::run(const Trace &trace)
     postCommitSb_ = SimpleStoreBuffer(params_.storeBufferEntries);
     MemOverlay memory(&trace.program->initialMemory);
 
-    size_t fetchIdx = 0;
-    size_t commitIdx = 0;
     const size_t n = trace.size();
 
-    // Generous hang guard: a correct model commits at least one
-    // instruction every few hundred cycles on any workload.
-    const Cycle cycle_limit = 1000 * (n + 1) + 10'000'000;
+    while (commitIdx_ < n || !slice_.empty() || !pendingStores_.empty()) {
+        ICFP_ASSERT(cycle_ < cycleLimit_);
+        promoteDue();
 
-    while (commitIdx < n || !slice_.empty() || !pendingStores_.empty()) {
-        ICFP_ASSERT(cycle_ < cycle_limit);
-
-        drainStores(trace, &memory);
+        const unsigned drained = drainStores(trace, &memory);
 
         // ------------------------------------------------------ commit
         unsigned committed = 0;
-        while (!rob_.empty() && committed < ooo_.commitWidth) {
-            Entry &head = rob_.front();
+        while (robSize() > 0 && committed < ooo_.commitWidth) {
+            Entry &head = robAt(commitIdx_);
             // A deferred (L2-missing) load pseudo-commits just like a
             // sliced instruction: the checkpoint covers recovery and its
             // value merges when the miss returns.
@@ -229,14 +270,13 @@ CfpCore::run(const Trace &trace)
                     --lqUsed_;
                 }
             }
-            rob_.pop_front();
-            ++commitIdx;
+            ++commitIdx_;
             ++committed;
         }
 
         // ------------------------------------------------------- rally
+        unsigned executed = 0;
         {
-            unsigned executed = 0;
             unsigned scanned = 0;
             // Index-based: rallyExecute can drain new dependents into
             // slice_ (always at positions beyond the current one, since
@@ -259,33 +299,31 @@ CfpCore::run(const Trace &trace)
         }
 
         // ------------------------------------------------------- issue
+        // Sliced entries are never candidates: sliceOut clears their bit
+        // (also when drainDependents slices one later in this walk).
         slots_.reset();
-        for (Entry &entry : rob_) {
+        for (size_t i = nextIssuable(commitIdx_); i < fetchIdx_;
+             i = nextIssuable(i + 1)) {
             if (slots_.used() >= params_.issueWidth)
                 break;
-            if (entry.issued || entry.sliced)
-                continue;
-            if (!sourcesReady(entry, cycle_))
-                continue;
-            const FuClass fu = fuClass(trace[entry.idx].op);
-            if (!slots_.available(fu))
-                continue;
-            slots_.take(fu);
+            Entry &entry = robAt(i);
+            slots_.take(entry.fu);
+            clearReady(entry);
 
-            const DynInst &di = trace[entry.idx];
+            const DynInst &di = trace[i];
             if (di.isLoad() && entry.forwardFrom == kNoProducer) {
                 RegVal fwd;
                 if (!postCommitSb_.forward(di.addr, &fwd)) {
                     // Execute here so we can see the miss and drain the
                     // forward slice in the same cycle.
                     entry.issued = true;
-                    entry.issuedAt = cycle_;
                     if (entry.inIq) {
                         entry.inIq = false;
                         --iqUsed_;
                     }
                     const MemAccessResult r = mem_.load(di.addr, cycle_);
                     doneAt_[entry.idx] = r.doneAt;
+                    wakeConsumers(entry.idx);
                     if (r.missedL2()) {
                         missDeferred_[entry.idx] = true;
                         drainDependents(entry.idx);
@@ -300,16 +338,14 @@ CfpCore::run(const Trace &trace)
 
         // ---------------------------------------------------- dispatch
         unsigned dispatched = 0;
-        while (fetchIdx < n && dispatched < ooo_.dispatchWidth &&
+        while (fetchIdx_ < n && dispatched < ooo_.dispatchWidth &&
                !fetchStalled_ && cycle_ >= fetchReadyAt_ &&
-               rob_.size() < ooo_.robEntries) {
-            const DynInst &di = trace[fetchIdx];
+               robSize() < ooo_.robEntries) {
+            const DynInst &di = trace[fetchIdx_];
             const bool is_load = di.isLoad();
             const bool is_store = di.isStore();
 
-            Entry entry;
-            entry.idx = fetchIdx;
-            entry.dispatchedAt = cycle_;
+            Entry &entry = stageEntry();
             entry.isLoad = is_load;
             entry.isStore = is_store;
             captureProducers(di, &entry);
@@ -319,7 +355,7 @@ CfpCore::run(const Trace &trace)
                 // (covers both live and deferred stores).
                 for (auto it = pendingStores_.rbegin();
                      it != pendingStores_.rend(); ++it) {
-                    if (it->idx >= fetchIdx)
+                    if (it->idx >= fetchIdx_)
                         continue;
                     if (trace[it->idx].addr == di.addr) {
                         entry.forwardFrom = it->idx;
@@ -359,21 +395,22 @@ CfpCore::run(const Trace &trace)
                     fetchStalled_ = true;
             }
             if (di.hasDst())
-                lastWriter_[di.dst] = fetchIdx;
+                lastWriter_[di.dst] = fetchIdx_;
             if (is_store)
-                pendingStores_.push_back(PendingStore{fetchIdx});
+                pendingStores_.push_back(PendingStore{fetchIdx_});
 
-            rob_.push_back(entry);
+            pushRob();
             if (defer)
-                sliceOut(&rob_.back(), /*from_iq=*/false);
-            peakRob_ = std::max<unsigned>(peakRob_, rob_.size());
-            ++fetchIdx;
+                sliceOut(&entry, /*from_iq=*/false);
+            else if (enlist(&entry))
+                parked_.push_back(entry.idx);
             ++dispatched;
             if (entry.mispredicted)
                 break;
         }
 
-        ++cycle_;
+        advanceClock(drained > 0 || committed > 0 || executed > 0 ||
+                     slots_.used() > 0 || dispatched > 0);
     }
 
     postCommitSb_.flush(&memory);

@@ -20,11 +20,20 @@
  * SRL discipline of Gandhi et al.), and loads forward from deferred
  * stores only once the store's data exists.
  *
- * Modeling note (see DESIGN.md): a mispredicted branch inside a deferred
- * slice squashes to the checkpoint; the model charges the squash
- * penalty and counts the event, but does not re-simulate the discarded
- * miss-independent work — slice branches are rare (they require a
- * poisoned input), so this under-charges only marginally.
+ * Modeling note: a mispredicted branch inside a deferred slice squashes
+ * to the checkpoint; the model charges the squash penalty and counts the
+ * event, but does not re-simulate the discarded miss-independent work —
+ * slice branches are rare (they require a poisoned input), so this
+ * under-charges only marginally.
+ *
+ * The run loop inherits OooCore's event-driven issue and idle-cycle
+ * fast-forward. A window entry that waits on an instruction in the slice
+ * buffer (possible only when that buffer was full as the entry was
+ * dispatched or drained) cannot be linked to a window producer; it is
+ * parked instead and re-examined whenever a rally executes. Sliced
+ * entries never issue from the window: slicing drops an entry from the
+ * ready bitmap, and stale timed-queue and consumer links are validated
+ * before use.
  */
 
 #ifndef ICFP_OOO_CFP_CORE_HH
@@ -75,8 +84,15 @@ class CfpCore : public OooCore
     /** Execute one slice entry during a rally. */
     void rallyExecute(const Trace &trace, Entry *entry);
 
-    /** Program-order store drain into the post-commit store buffer. */
-    void drainStores(const Trace &trace, MemOverlay *memory);
+    /** Program-order store drain into the post-commit store buffer.
+     *  @return the number of stores drained. */
+    unsigned drainStores(const Trace &trace, MemOverlay *memory);
+
+    /** Schedule parked window entries whose slice producers are done. */
+    void wakeParked();
+
+    /** Adds the store drain and the rally's scan window to the bounds. */
+    Cycle nextEventCycle() const override;
 
     CfpParams cfp_;
 
@@ -89,11 +105,12 @@ class CfpCore : public OooCore
 
     std::deque<Entry> slice_;
     std::deque<PendingStore> pendingStores_;
+    /** Window entries (trace indices) waiting on a sliced producer. */
+    std::vector<size_t> parked_;
 
     uint64_t slicedInsts_ = 0;
     uint64_t rallyInsts_ = 0;
     uint64_t sliceSquashes_ = 0;
-    uint64_t sliceFullStalls_ = 0;
 };
 
 } // namespace icfp

@@ -21,15 +21,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/** The Figure 5 schemes, in figure order. */
-const std::vector<std::pair<std::string, CoreKind>> &
-fig5Schemes()
+/** The schemes timed: every registered core model, in enum order. */
+std::vector<std::pair<std::string, CoreKind>>
+perfSchemes()
 {
-    static const std::vector<std::pair<std::string, CoreKind>> schemes = {
-        {"in-order", CoreKind::InOrder}, {"runahead", CoreKind::Runahead},
-        {"multipass", CoreKind::Multipass}, {"sltp", CoreKind::Sltp},
-        {"icfp", CoreKind::ICfp},
-    };
+    std::vector<std::pair<std::string, CoreKind>> schemes;
+    for (const CoreKind kind : CoreRegistry::instance().kinds())
+        schemes.emplace_back(coreKindName(kind), kind);
     return schemes;
 }
 
@@ -142,6 +140,15 @@ scanStringAfter(const std::string &text, size_t anchor, const char *key)
 
 } // namespace
 
+std::vector<std::string>
+perfSchemeNames()
+{
+    std::vector<std::string> names;
+    for (const auto &[name, kind] : perfSchemes())
+        names.push_back(name);
+    return names;
+}
+
 std::string
 perfGridName(const std::string &suite, bool quick)
 {
@@ -196,7 +203,7 @@ runPerfHarness(const PerfOptions &options)
     for (const std::string &bench : benches)
         findBenchmark(bench); // fatal on typos before burning time
 
-    const auto &schemes = fig5Schemes();
+    const auto schemes = perfSchemes();
     std::vector<PerfSchemeStat> scheme_stats;
     for (const auto &[name, kind] : schemes) {
         (void)kind;
@@ -362,6 +369,18 @@ readPerfBaseline(const std::string &path)
         return std::nullopt;
     }
     baseline.replayInstsPerSec = *replay;
+    const size_t schemes_at = text.find("\"schemes\": [");
+    if (schemes_at != std::string::npos) {
+        const size_t end = text.find(']', schemes_at);
+        const std::string needle = "\"scheme\": \"";
+        for (size_t at = text.find(needle, schemes_at);
+             at != std::string::npos && at < end;
+             at = text.find(needle, at + 1)) {
+            const size_t start = at + needle.size();
+            baseline.schemes.push_back(
+                text.substr(start, text.find('"', start) - start));
+        }
+    }
     const size_t gen_at = text.find("\"trace_gen\":");
     if (gen_at != std::string::npos) {
         if (const auto gen = scanNumberAfter(text, gen_at, "insts_per_sec"))

@@ -1,14 +1,16 @@
 /**
  * @file
  * Simulator performance harness: measures host-side throughput of trace
- * generation and per-core replay over the Figure 5 grid, the way RZBENCH
+ * generation and per-core replay over a suite × every registered core
+ * model (the Figure 5 schemes plus the Section 5.3 ooo and cfp cores),
+ * the way RZBENCH
  * treats low-level microbenchmarks — repeatable medians over warmed-up
  * repetitions, reported in machine-readable form.
  *
  * This measures the *simulator*, not the simulated machine: the unit is
- * simulated instructions retired per host second. The grid is the same
- * (benchmark × scheme) grid bench_fig5_speedup runs, so the numbers are
- * the direct multiplier on every sweep/shard in the repo.
+ * simulated instructions retired per host second. The grid is the one a
+ * default `icfp-sim sweep` or `submit` runs, so the numbers are the
+ * direct multiplier on every sweep/shard in the repo.
  *
  * `icfp-sim perf` drives this and emits a BENCH_perf.json artifact:
  *
@@ -90,7 +92,7 @@ struct PerfReport
     double genInstsPerSec = 0.0;
 
     std::vector<PerfCase> cases;         ///< grid order: bench-major
-    std::vector<PerfSchemeStat> schemes; ///< fig5 scheme order
+    std::vector<PerfSchemeStat> schemes; ///< perfSchemeNames() order
 
     // Replay aggregate over the whole grid (the headline number).
     uint64_t replayInsts = 0;
@@ -108,8 +110,15 @@ struct PerfBaseline
      *  compare across different suites' grids — the ratio would mix
      *  throughput on unrelated workloads. */
     std::string grid;
+    /** The baseline's "schemes" names; a headline ratio is meaningful
+     *  only over the same set (see perfSchemeNames()). */
+    std::vector<std::string> schemes;
     std::string source; ///< where the numbers came from (file path)
 };
+
+/** The schemes a measurement times: every registered core model, in
+ *  registry (enum) order. */
+std::vector<std::string> perfSchemeNames();
 
 /** The grid label a (suite, quick) measurement reports: "fig5"[-quick]
  *  for spec2000 (the historical artifact name), else "<suite>"[-quick]. */

@@ -329,6 +329,47 @@ TEST_F(CliTest, CheapRunOfEachVerbFamilyExitsZero)
     expectAccepted({"disasm", "--bench", "gzip", "--insts", "200"});
 }
 
+TEST_F(CliTest, PerfBaselineMustCoverTheSameSchemes)
+{
+    const Args perf = {"perf", "--benches", "gzip", "--insts", "200",
+                       "--reps", "1", "--warmup", "0"};
+    Args fresh = perf;
+    fresh.insert(fresh.end(), {"--out", "base7.json"});
+    expectAccepted(fresh);
+
+    // A baseline over the same seven cores is a valid comparison.
+    Args again = perf;
+    again.insert(again.end(),
+                 {"--baseline", "base7.json", "--out", "again.json"});
+    expectAccepted(again);
+    EXPECT_NE(readAll(fs::path(dir_) / "again.json")
+                  .find("\"replay_speedup_vs_baseline\""),
+              std::string::npos);
+
+    // An artifact over the five Figure 5 schemes only (what perf wrote
+    // before it timed ooo and cfp) is refused, naming both sets, and no
+    // ratio is written.
+    std::ofstream(fs::path(dir_) / "base5.json")
+        << "{\n  \"grid\": \"fig5\",\n"
+        << "  \"trace_gen\": {\"insts\": 1, \"seconds\": 1.0, "
+           "\"insts_per_sec\": 1.0},\n"
+        << "  \"replay\": {\"insts\": 1, \"seconds\": 1.0, "
+           "\"insts_per_sec\": 1.0},\n  \"schemes\": [\n";
+    for (const char *scheme :
+         {"in-order", "runahead", "multipass", "sltp", "icfp"}) {
+        std::ofstream(fs::path(dir_) / "base5.json", std::ios::app)
+            << "    {\"scheme\": \"" << scheme << "\", \"insts\": 1},\n";
+    }
+    std::ofstream(fs::path(dir_) / "base5.json", std::ios::app)
+        << "  ],\n  \"cases\": []\n}\n";
+    Args mixed = perf;
+    mixed.insert(mixed.end(),
+                 {"--baseline", "base5.json", "--out", "mixed.json"});
+    expectRefused(mixed, "{in-order,runahead,multipass,sltp,icfp}");
+    expectRefused(mixed, "{in-order,runahead,multipass,sltp,icfp,ooo,cfp}");
+    EXPECT_FALSE(fs::exists(fs::path(dir_) / "mixed.json"));
+}
+
 TEST_F(CliTest, ServiceVerbsRunAgainstALiveDaemon)
 {
     const fs::path serve_err = fs::path(dir_) / "serve.txt";

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <tuple>
 
 #include "ooo/cfp_core.hh"
@@ -256,8 +257,17 @@ TEST_P(OooSeedTest, GoldenEquivalenceUnderStress)
     const CoreKind kind = kind_int == 0 ? CoreKind::Ooo : CoreKind::Cfp;
     SimConfig cfg;
     const RunResult r = simulate(kind, cfg, trace);
-    EXPECT_GT(r.cycles, 0u);
     EXPECT_EQ(r.instructions, trace.size());
+    // Exact cycle pins: any timing change must be deliberate.
+    static const std::map<std::tuple<int, uint64_t>, Cycle> kCycles = {
+        {{0, 1}, 128369}, {{0, 2}, 146060}, {{0, 3}, 129715},
+        {{0, 4}, 150356}, {{0, 5}, 124305}, {{0, 6}, 156147},
+        {{0, 7}, 128024}, {{0, 8}, 145136}, {{1, 1}, 140657},
+        {{1, 2}, 149708}, {{1, 3}, 132436}, {{1, 4}, 155466},
+        {{1, 5}, 132700}, {{1, 6}, 157683}, {{1, 7}, 131053},
+        {{1, 8}, 147801},
+    };
+    EXPECT_EQ(r.cycles, kCycles.at(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -282,12 +292,49 @@ TEST_P(CfpConfigTest, CorrectAcrossWindowAndSliceSizes)
     CfpCore core(CoreParams{}, MemParams{}, p);
     const RunResult r = core.run(trace);
     EXPECT_EQ(r.instructions, trace.size());
+    static const std::map<std::tuple<unsigned, unsigned>, Cycle> kCycles = {
+        {{8, 4}, 111163},   {{8, 64}, 104483},   {{8, 512}, 110659},
+        {{32, 4}, 104804},  {{32, 64}, 104070},  {{32, 512}, 103906},
+        {{48, 4}, 100690},  {{48, 64}, 101198},  {{48, 512}, 100731},
+        {{96, 4}, 100297},  {{96, 64}, 101848},  {{96, 512}, 101969},
+        {{128, 4}, 105027}, {{128, 64}, 104851}, {{128, 512}, 103095},
+        {{512, 4}, 102962}, {{512, 64}, 105183}, {{512, 512}, 104675},
+    };
+    EXPECT_EQ(r.cycles, kCycles.at(GetParam()));
 }
 
+// 48 and 96 are not powers of two: the window's slot arithmetic must
+// not assume one.
 INSTANTIATE_TEST_SUITE_P(
     WindowGrid, CfpConfigTest,
-    ::testing::Combine(::testing::Values(8u, 32u, 128u, 512u),
+    ::testing::Combine(::testing::Values(8u, 32u, 48u, 96u, 128u, 512u),
                        ::testing::Values(4u, 64u, 512u)));
+
+class OooConfigTest : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(OooConfigTest, CyclesPinnedAcrossWindowSizes)
+{
+    const unsigned rob = GetParam();
+    const Trace trace =
+        Interpreter::run(buildWorkload(oooStressParams(rob)), 8000);
+    OooParams p;
+    p.robEntries = rob;
+    p.iqEntries = std::max(4u, rob / 4);
+    OooCore core(CoreParams{}, MemParams{}, p);
+    const RunResult r = core.run(trace);
+    EXPECT_EQ(r.instructions, trace.size());
+    EXPECT_LE(core.peakRobOccupancy(), rob);
+    static const std::map<unsigned, Cycle> kCycles = {
+        {8, 116693},  {32, 98053},  {48, 103745},
+        {96, 102912}, {128, 98788}, {512, 98921},
+    };
+    EXPECT_EQ(r.cycles, kCycles.at(rob));
+}
+
+INSTANTIATE_TEST_SUITE_P(WindowGrid, OooConfigTest,
+                         ::testing::Values(8u, 32u, 48u, 96u, 128u, 512u));
 
 } // namespace
 } // namespace icfp

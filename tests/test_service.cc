@@ -1000,7 +1000,11 @@ TEST_F(ServiceTest, DeadlineExceededAnswersExplicitError)
     server.start();
 
     ServiceClient client(socket_);
-    Frame submit = submitFrame("mcf,equake,gzip,vpr", "all", 400000, true);
+    // Ten benches x every core at 400k insts: several times the
+    // one-second deadline on one runner, so the deadline expires first.
+    Frame submit = submitFrame("mcf,equake,gzip,vpr,art,ammp,twolf,parser,"
+                               "applu,swim",
+                               "all", 400000, true);
     submit.addUint("deadline_sec", 1);
     const Frame ack = client.request(submit);
     ASSERT_EQ(ack.type(), "submitted");

@@ -53,6 +53,7 @@
 #include <cstdlib>
 #include <iterator>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <variant>
@@ -793,6 +794,27 @@ cmdPerf(const Options &opt)
                          "run is '%s'; rerun with a matching --suite\n",
                          opt.baseline.c_str(), baseline->grid.c_str(),
                          current.c_str());
+            return 1;
+        }
+        // Refuse a different core set too: the headline replay ratio
+        // sums over every scheme, so it would mix different models.
+        const std::vector<std::string> schemes = perfSchemeNames();
+        if (std::set<std::string>(baseline->schemes.begin(),
+                                  baseline->schemes.end()) !=
+            std::set<std::string>(schemes.begin(), schemes.end())) {
+            const auto join = [](const std::vector<std::string> &names) {
+                std::string text;
+                for (const std::string &name : names)
+                    text += (text.empty() ? "" : ",") + name;
+                return "{" + text + "}";
+            };
+            std::fprintf(stderr,
+                         "perf: baseline %s measured schemes %s but this "
+                         "run measures %s; remeasure the baseline with "
+                         "this scheme set\n",
+                         opt.baseline.c_str(),
+                         join(baseline->schemes).c_str(),
+                         join(schemes).c_str());
             return 1;
         }
     }
