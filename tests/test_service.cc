@@ -44,6 +44,7 @@
 #include "service/server.hh"
 #include "sim/merge.hh"
 #include "sim/report.hh"
+#include "sim/trace_store.hh" // fnv1a64
 #include "sim/version_info.hh"
 
 namespace fs = std::filesystem;
@@ -830,6 +831,54 @@ TEST(ResultCacheTest, DiskTierPersistsAcrossInstances)
     EXPECT_TRUE(warm.lookup(0x1234).has_value());
     EXPECT_EQ(warm.stats().diskHits, 1u);
     EXPECT_EQ(warm.stats().hits, 2u);
+    fs::remove_all(dir);
+}
+
+TEST(ResultCacheTest, DiskEntryLayoutIsPinned)
+{
+    // The ICFPRES1 entry layout, built by hand: magic, u64 key, FNV-1a
+    // of the payload, u64 payload length, payload (integers little
+    // endian) — the twin of the hand-built ICFPSTR1 file in
+    // test_trace_store.cc. Changing it means bumping the magic.
+    const auto u64 = [](uint64_t v) {
+        std::string s;
+        for (int i = 0; i < 8; ++i)
+            s.push_back(static_cast<char>(v >> (8 * i)));
+        return s;
+    };
+    const auto entry = [&](uint64_t key, const std::string &payload) {
+        return "ICFPRES1" + u64(key) +
+               u64(fnv1a64(payload.data(), payload.size())) +
+               u64(payload.size()) + payload;
+    };
+    const auto path = [](const std::string &dir, uint64_t key) {
+        return fs::path(dir) / (fingerprintHex(key) + ".res");
+    };
+    const std::string dir = makeTempDir();
+
+    // insert() writes exactly the hand-built bytes.
+    const uint64_t key = 0x0123456789abcdefull;
+    const std::string payload = "bench,core,cycles\nmcf,icfp,42\n";
+    {
+        ResultCache cache(1 << 20, dir);
+        cache.insert(key, payload);
+    }
+    std::ifstream in(path(dir, key), std::ios::binary);
+    std::ostringstream written;
+    written << in.rdbuf();
+    EXPECT_EQ(written.str(), entry(key, payload));
+
+    // A fresh cache serves a hand-built entry as a disk hit.
+    const uint64_t other = 0xfeedull;
+    const std::string other_payload = "hand-built artifact\n";
+    std::ofstream(path(dir, other), std::ios::binary)
+        << entry(other, other_payload);
+    ResultCache fresh(1 << 20, dir);
+    CacheTier tier = CacheTier::None;
+    EXPECT_EQ(fresh.lookup(other, &tier).value_or(""), other_payload);
+    EXPECT_EQ(tier, CacheTier::Disk);
+    EXPECT_EQ(fresh.stats().diskHits, 1u);
+    EXPECT_EQ(fresh.stats().diskCorrupt, 0u);
     fs::remove_all(dir);
 }
 
