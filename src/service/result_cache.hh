@@ -24,14 +24,13 @@
  *
  * Two tiers. The in-memory tier is LRU over a byte cap, thread-safe.
  * The optional disk tier (`--cache-dir`) persists every inserted
- * artifact as `<key-hex>.res` with a checksummed header, published via
- * writeFileDurable (fsync-then-atomic-rename), so a restarted daemon
- * serves warm repeats with `cache=hit generations=0 replays=0`. The
- * disk tier is an optimization with the same trust model as the trace
- * store: entries that fail the magic/key/size/FNV-1a check on load —
- * truncated by a crash, bit-flipped, or hand-edited — are deleted and
- * the result recomputed, never served. It shares the byte cap with the
- * memory tier and evicts by mtime (a disk hit refreshes the file).
+ * artifact as `<key-hex>.res` in a CacheDir (common/durable_file.hh),
+ * which owns the file format, durable publication, verify-or-delete
+ * loading and eviction by mtime — the same policy as the trace store,
+ * with the u64 key as each file's header identity. A restarted daemon
+ * thus serves warm repeats with `cache=hit generations=0 replays=0`,
+ * and an entry that fails its check is deleted and recomputed, never
+ * served. The disk tier shares the byte cap with the memory tier.
  */
 
 #ifndef ICFP_SERVICE_RESULT_CACHE_HH
@@ -45,6 +44,7 @@
 #include <string>
 #include <vector>
 
+#include "common/durable_file.hh"
 #include "sim/sweep.hh"
 
 namespace icfp {
@@ -85,10 +85,11 @@ class ResultCache
         uint64_t hits = 0;     ///< memory-tier hits
         uint64_t misses = 0;   ///< missed both tiers
         uint64_t insertions = 0;
-        uint64_t evictions = 0;
+        uint64_t evictions = 0; ///< memory-tier evictions
         uint64_t diskHits = 0; ///< served from disk (counted in hits too)
         uint64_t diskCorrupt = 0;
         uint64_t diskWriteFailures = 0;
+        uint64_t diskEvictions = 0; ///< files removed by the byte cap
     };
 
     /**
@@ -117,8 +118,6 @@ class ResultCache
     Stats stats() const;
     uint64_t bytes() const;
     size_t entries() const;
-    uint64_t maxBytes() const { return max_bytes_; }
-    const std::string &dir() const { return dir_; }
 
   private:
     struct Entry
@@ -127,15 +126,14 @@ class ResultCache
         std::string artifact;
     };
 
-    /** `<dir>/<key-hex>.res` for @p key. */
-    std::string diskPath(uint64_t key) const;
-    /** Verified artifact from disk, or nullopt (corrupt files deleted). */
-    std::optional<std::string> diskLoad(uint64_t key);
+    /** Add a new key to the memory tier as its newest entry, then
+     *  evict least-recently-used entries down to the cap. False (and
+     *  nothing stored) if @p artifact alone exceeds the cap. */
+    bool admitLocked(uint64_t key, std::string artifact);
     void diskInsertLocked(uint64_t key, const std::string &artifact);
-    void diskEvictLocked(const std::string &keep_file);
 
     uint64_t max_bytes_;
-    std::string dir_; ///< empty = no disk tier
+    std::optional<CacheDir> disk_; ///< empty = no disk tier
     mutable std::mutex mutex_;
     std::list<Entry> lru_; ///< most-recently-used first
     std::map<uint64_t, std::list<Entry>::iterator> index_;

@@ -7,19 +7,12 @@
  * sharded-sweep workflow: every shard of a grid, on any machine sharing
  * the directory, replays byte-identical traces.
  *
- * Durability properties:
- *  - every file carries the request key and an FNV-1a hash of the trace
- *    payload in its header; a mismatch (truncation, bit rot, filename
- *    collision) is detected on load, the file is deleted, and the caller
- *    regenerates — corruption can cost time, never correctness;
- *  - writes go to a unique temp file and are published with an atomic
- *    rename, so concurrent readers/writers (shards on a shared
- *    filesystem) never observe partial files;
- *  - an optional byte-size cap is enforced by LRU eviction (hits
- *    refresh the file's modification time).
- *
- * All I/O failures degrade to cache misses with a warning: the store is
- * an optimization and must never take a sweep down.
+ * The files live in a CacheDir (common/durable_file.hh), which owns the
+ * on-disk format, durable publication, verify-or-delete loading and LRU
+ * eviction; this store adds the trace key (carried in each file's
+ * header as its identity) and the trace encoding. Corruption can cost
+ * time, never correctness, and every I/O failure degrades to a cache
+ * miss with a warning: the store must never take a sweep down.
  */
 
 #ifndef ICFP_SIM_TRACE_STORE_HH
@@ -31,6 +24,7 @@
 #include <optional>
 #include <string>
 
+#include "common/durable_file.hh" // CacheDir, fnv1a64
 #include "isa/interpreter.hh"
 
 namespace icfp {
@@ -71,9 +65,6 @@ struct TraceId
      *  sanitized to [A-Za-z0-9._-]). */
     std::string fileName() const;
 };
-
-/** 64-bit FNV-1a over @p size bytes (the store's content hash). */
-uint64_t fnv1a64(const void *data, size_t size);
 
 /** A persistent, integrity-checked, size-capped trace cache directory. */
 class TraceStore
@@ -119,15 +110,11 @@ class TraceStore
     void store(const TraceId &id, const Trace &trace);
 
     Stats stats() const;
-    const std::string &dir() const { return dir_; }
-    uint64_t maxBytes() const { return max_bytes_; }
+    const std::string &dir() const { return cache_.dir(); }
 
   private:
-    void evictLocked(const std::string &keep_file);
-
-    std::string dir_;
-    uint64_t max_bytes_;
-    mutable std::mutex mutex_; ///< guards stats_ and eviction scans
+    CacheDir cache_;
+    mutable std::mutex mutex_; ///< guards stats_
     Stats stats_;
 };
 

@@ -3,9 +3,10 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/durable_file.hh" // fnv1a64
 #include "isa/trace_io.hh"
 #include "sim/simulator.hh"
-#include "sim/trace_store.hh" // fnv1a64, kTraceGenVersion
+#include "sim/trace_store.hh" // kTraceGenVersion
 #include "workloads/suite_registry.hh"
 
 namespace icfp {

@@ -34,6 +34,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/durable_file.hh"
 #include "common/fault_inject.hh"
 #include "common/metrics.hh"
 #include "service/client.hh"
@@ -44,7 +45,6 @@
 #include "service/server.hh"
 #include "sim/merge.hh"
 #include "sim/report.hh"
-#include "sim/trace_store.hh" // fnv1a64
 #include "sim/version_info.hh"
 
 namespace fs = std::filesystem;
@@ -882,36 +882,14 @@ TEST(ResultCacheTest, DiskEntryLayoutIsPinned)
     fs::remove_all(dir);
 }
 
-TEST(ResultCacheTest, TruncatedDiskEntryDetectedDeletedRecomputed)
-{
-    const std::string dir = makeTempDir();
-    {
-        ResultCache cache(1 << 20, dir);
-        cache.insert(7, "some artifact payload worth caching");
-    }
-    fs::path entry;
-    for (const fs::directory_entry &de : fs::directory_iterator(dir))
-        if (de.path().extension() == ".res")
-            entry = de.path();
-    ASSERT_FALSE(entry.empty());
-    fs::resize_file(entry, fs::file_size(entry) / 2);
-
-    ResultCache cache(1 << 20, dir);
-    EXPECT_FALSE(cache.lookup(7).has_value());
-    EXPECT_EQ(cache.stats().diskCorrupt, 1u);
-    EXPECT_FALSE(fs::exists(entry)); // deleted, not retried forever
-
-    // The recompute path re-publishes cleanly.
-    cache.insert(7, "recomputed payload");
-    ResultCache again(1 << 20, dir);
-    EXPECT_EQ(again.lookup(7).value_or(""), "recomputed payload");
-    fs::remove_all(dir);
-}
 
 TEST(ResultCacheTest, DiskTierHonorsByteCapByRecency)
 {
     const std::string dir = makeTempDir();
     const std::string payload(100, 'x'); // entry file ≈ 132 bytes
+    metrics::Counter &scraped =
+        metrics::counter("icfp_result_cache_disk_evictions");
+    const uint64_t scraped_before = scraped.value();
     ResultCache cache(200, dir);
     cache.insert(1, payload);
     // Age the first entry so mtime ordering is unambiguous.
@@ -925,6 +903,11 @@ TEST(ResultCacheTest, DiskTierHonorsByteCapByRecency)
 
     cache.insert(2, payload); // over the cap: the older entry goes
     EXPECT_FALSE(fs::exists(first));
+    // Counted as a disk eviction; the memory tier (200 bytes of
+    // artifacts, within the cap) evicted nothing.
+    EXPECT_EQ(cache.stats().diskEvictions, 1u);
+    EXPECT_EQ(scraped.value() - scraped_before, 1u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
     size_t remaining = 0;
     for (const fs::directory_entry &de : fs::directory_iterator(dir))
         if (de.path().extension() == ".res")

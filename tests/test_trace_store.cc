@@ -3,11 +3,11 @@
  * Persistent trace store tests (sim/trace_store.hh): round-trip
  * hit/miss, full-tuple (bench, insts, seed) keying, corruption
  * detection (bit-flip → regeneration, not a crash), atomic writes (no
- * partial files visible), LRU eviction order, the SweepEngine
+ * partial files visible), LRU eviction order, and the SweepEngine
  * integration that makes a second sweep over the same grid perform
- * zero trace generations, and the fault-injected crash-durability
- * paths (fsync failure degrades the store, a torn publication is
- * caught by the reader's checksum and regenerated).
+ * zero trace generations. The cache-directory properties the store
+ * shares with the result cache (stale-temp reclaim, publish faults,
+ * torn and truncated files, mutation fuzz) are in test_cache_dir.cc.
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +18,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/fault_inject.hh"
 #include "isa/trace_io.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
@@ -60,16 +59,8 @@ genTrace(const std::string &bench, uint64_t insts,
 class TraceStoreTest : public ::testing::Test
 {
   protected:
-    void SetUp() override
-    {
-        fault::disarmAll();
-        dir_ = makeTempDir();
-    }
-    void TearDown() override
-    {
-        fs::remove_all(dir_);
-        fault::disarmAll();
-    }
+    void SetUp() override { dir_ = makeTempDir(); }
+    void TearDown() override { fs::remove_all(dir_); }
 
     fs::path storePath(const TraceId &id) { return fs::path(dir_) / id.fileName(); }
 
@@ -263,15 +254,6 @@ TEST_F(TraceStoreTest, BitFlipDetectedAndRegenerated)
     EXPECT_TRUE(fs::exists(path));
 }
 
-TEST_F(TraceStoreTest, TruncationDetected)
-{
-    TraceStore store(dir_);
-    const TraceId id{"gzip", 500, std::nullopt};
-    store.store(id, genTrace("gzip", 500));
-    fs::resize_file(storePath(id), fs::file_size(storePath(id)) / 2);
-    EXPECT_FALSE(store.load(id).has_value());
-    EXPECT_EQ(store.stats().corrupt, 1u);
-}
 
 TEST_F(TraceStoreTest, AtomicWriteLeavesNoPartialFiles)
 {
@@ -288,21 +270,6 @@ TEST_F(TraceStoreTest, AtomicWriteLeavesNoPartialFiles)
     EXPECT_EQ(published, 2u);
 }
 
-TEST_F(TraceStoreTest, StaleTempFilesReclaimedOnConstruction)
-{
-    // Orphan from a killed writer: old enough to be stale.
-    const fs::path stale = fs::path(dir_) / "gzip-i1000.trc.tmp.999.1";
-    std::ofstream(stale) << "partial";
-    fs::last_write_time(stale, fs::file_time_type::clock::now() -
-                                   std::chrono::hours(1));
-    // A freshly-written temp (a live writer mid-publish) must survive.
-    const fs::path live = fs::path(dir_) / "mesa-i1000.trc.tmp.999.2";
-    std::ofstream(live) << "partial";
-
-    TraceStore store(dir_);
-    EXPECT_FALSE(fs::exists(stale));
-    EXPECT_TRUE(fs::exists(live));
-}
 
 TEST_F(TraceStoreTest, LruEvictionOrderRespectsRecency)
 {
@@ -388,91 +355,10 @@ TEST_F(TraceStoreTest, FromEnvHonorsTraceDirVariable)
     EXPECT_EQ(bare.traceStore(), nullptr);
 }
 
-TEST_F(TraceStoreTest, FsyncFaultDegradesStoreGracefully)
-{
-    // A store() that cannot make the bytes durable must warn and skip
-    // the publication — never publish an unsynced file that a crash
-    // could tear. The store stays usable afterwards.
-    TraceStore store(dir_);
-    const TraceId id{"gzip", 1000, std::nullopt};
-    const Trace trace = genTrace("gzip", 1000);
 
-    ASSERT_TRUE(fault::armSpec("trace_store.fsync:1"));
-    store.store(id, trace);
-    EXPECT_EQ(fault::firedCount("trace_store.fsync"), 1u);
-    EXPECT_EQ(store.stats().writes, 0u);
-    EXPECT_FALSE(fs::exists(storePath(id)));
-    EXPECT_FALSE(store.load(id).has_value());
 
-    // The fault was one-shot: the retry publishes normally and hits.
-    store.store(id, trace);
-    EXPECT_EQ(store.stats().writes, 1u);
-    EXPECT_TRUE(store.load(id).has_value());
-}
 
-TEST_F(TraceStoreTest, RenameFaultLeavesNoPartialFiles)
-{
-    TraceStore store(dir_);
-    const TraceId id{"gzip", 1000, std::nullopt};
 
-    ASSERT_TRUE(fault::armSpec("trace_store.rename:1"));
-    store.store(id, genTrace("gzip", 1000));
-    EXPECT_EQ(store.stats().writes, 0u);
-    // Neither the destination nor an orphaned temp survives.
-    EXPECT_TRUE(fs::is_empty(dir_));
-}
-
-TEST_F(TraceStoreTest, TornPublicationCaughtByChecksumAndRegenerated)
-{
-    // The write.torn fault reports success after publishing only half
-    // the bytes — the crash the writer never saw. The embedded hash
-    // must catch it on load: miss + corrupt-count + file removed, and
-    // an engine regenerates the identical trace.
-    TraceStore store(dir_);
-    const TraceId id{"gzip", 1000, std::nullopt};
-    const Trace trace = genTrace("gzip", 1000);
-
-    ASSERT_TRUE(fault::armSpec("trace_store.write.torn:1"));
-    store.store(id, trace);
-    EXPECT_EQ(store.stats().writes, 1u); // the writer believed it worked
-    ASSERT_TRUE(fs::exists(storePath(id)));
-    fault::disarmAll();
-
-    EXPECT_FALSE(store.load(id).has_value());
-    EXPECT_EQ(store.stats().corrupt, 1u);
-    EXPECT_FALSE(fs::exists(storePath(id)));
-
-    auto shared = std::make_shared<TraceStore>(dir_);
-    SweepEngine engine(1);
-    engine.setTraceStore(shared);
-    EXPECT_EQ(traceBytes(engine.trace("gzip", 1000)), traceBytes(trace));
-    EXPECT_EQ(engine.traceGenerations(), 1u);
-    // Clean re-publication (the engine keys it under the benchmark's
-    // real defVersion, so check the file, not this test's plain id).
-    EXPECT_TRUE(fs::exists(storePath(id)));
-}
-
-TEST_F(TraceStoreTest, ShortWriteFaultReportsFailureAndSkips)
-{
-    TraceStore store(dir_);
-    const TraceId id{"gzip", 1000, std::nullopt};
-    ASSERT_TRUE(fault::armSpec("trace_store.write.short:1"));
-    store.store(id, genTrace("gzip", 1000));
-    EXPECT_EQ(store.stats().writes, 0u);
-    EXPECT_TRUE(fs::is_empty(dir_));
-}
-
-TEST_F(TraceStoreTest, Fnv1aMatchesReferenceVectors)
-{
-    // Published FNV-1a 64-bit test vectors.
-    EXPECT_EQ(fnv1a64("", 0), 14695981039346656037ull);
-    EXPECT_EQ(fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
-    EXPECT_EQ(fnv1a64("foobar", 6), 0x85944171f73967e8ull);
-    // Stored files carry this hash: changing it means bumping the store
-    // header magic.
-    EXPECT_EQ(fnv1a64("abcdefgh", 8), 0x25da8c1836a8d66dull);
-    EXPECT_EQ(fnv1a64("abcdefghijklm", 13), 0x4213ea06398bc308ull);
-}
 
 } // namespace
 } // namespace icfp
