@@ -206,24 +206,6 @@ sweepCells(const SweepResult &r)
 
 } // namespace
 
-std::string
-Table::csv() const
-{
-    std::ostringstream os;
-    for (size_t c = 0; c < columns_.size(); ++c)
-        os << (c ? "," : "") << csvField(columns_[c]);
-    os << "\n";
-    for (const Row &row : rows_) {
-        if (row.isNote)
-            continue;
-        os << csvField(row.label);
-        for (const std::string &cell : row.cells)
-            os << "," << csvField(cell);
-        os << "\n";
-    }
-    return os.str();
-}
-
 const std::vector<std::string> &
 sweepReportColumns()
 {

@@ -1,6 +1,6 @@
 /**
  * @file
- * Report emission for the benchmark harnesses: fixed-width plain-text
+ * Report emission for sweeps and figures: fixed-width plain-text
  * tables in the style of the paper's tables/figure data, plus machine-
  * readable CSV/JSON serialization of sweep results (sim/sweep.hh).
  *
@@ -39,14 +39,8 @@ class Table
     /** Render to stdout. */
     void print() const;
 
-    /** Render to a string (for tests). */
+    /** Render to a string. */
     std::string str() const;
-
-    /**
-     * Render as CSV: a header row from the column names, then one line
-     * per data row (notes are skipped). Cells are already formatted.
-     */
-    std::string csv() const;
 
   private:
     std::string title_;

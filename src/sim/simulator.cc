@@ -1,7 +1,5 @@
 #include "sim/simulator.hh"
 
-#include <cstdlib>
-
 #include "common/logging.hh"
 
 namespace icfp {
@@ -29,17 +27,6 @@ percentSpeedup(const RunResult &baseline, const RunResult &test)
     return 100.0 * (static_cast<double>(baseline.cycles) /
                         static_cast<double>(test.cycles) -
                     1.0);
-}
-
-uint64_t
-benchInstBudget()
-{
-    if (const char *env = std::getenv("ICFP_BENCH_INSTS")) {
-        const long long v = std::atoll(env);
-        if (v > 0)
-            return static_cast<uint64_t>(v);
-    }
-    return kDefaultBenchInsts;
 }
 
 } // namespace icfp

@@ -5,7 +5,7 @@
  * configurations the experiments sweep.
  *
  * This is the primary entry point of the library for examples and
- * benchmark harnesses:
+ * the paper figures (sim/figures.hh):
  *
  * @code
  *   SimConfig cfg;                                  // Table 1 defaults
@@ -55,13 +55,6 @@ RunResult simulate(CoreKind kind, const SimConfig &config,
 
 /** Percent speedup of @p test over @p baseline (positive = faster). */
 double percentSpeedup(const RunResult &baseline, const RunResult &test);
-
-/**
- * Dynamic instruction budget for benchmark harness runs: reads the
- * ICFP_BENCH_INSTS environment variable, defaulting to
- * kDefaultBenchInsts.
- */
-uint64_t benchInstBudget();
 
 } // namespace icfp
 

@@ -11,8 +11,8 @@
  * (workload params, instruction budget, seed), and results land in a slot
  * preallocated from the grid index — so a sweep's result vector (and any
  * CSV/JSON serialization of it, see sim/report.hh) is byte-identical for
- * `jobs == 1` and `jobs == N`. The per-figure harnesses and the
- * `icfp-sim sweep` subcommand all ride on this.
+ * `jobs == 1` and `jobs == N`. The paper figures (sim/figures.hh) and
+ * the `icfp-sim sweep` subcommand all ride on this.
  *
  * The same contract extends across processes: every expanded job carries
  * a stable gridIndex, and ShardSpec/shardJobs() partition the grid into

@@ -12,7 +12,7 @@
  * threads do), and per-thread register scoreboards, branch units, and
  * store buffers.
  *
- * `bench/smt_tradeoff` uses it to print, per workload pair, the
+ * `icfp-sim figure smt_tradeoff` uses it to print, per workload pair, the
  * two-thread throughput against single-thread iCFP performance — the
  * two sides of the "single-thread performance trumps multi-thread
  * throughput" knob (Section 6).

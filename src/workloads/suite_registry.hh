@@ -6,7 +6,7 @@
  * side: each suite is a named factory returning a vector of
  * BenchmarkSpecs, self-registered from its own translation unit by a
  * file-scope SuiteRegistrar. The CLI (`icfp-sim suites`, `--suite`), the
- * sweep engine's bench-name resolution, and the figure harnesses all
+ * sweep engine's bench-name resolution, and the paper figures all
  * dispatch through this table, so adding a workload family is a
  * one-file plug-in — exactly like adding a core model:
  *

@@ -22,6 +22,8 @@
 #include <thread>
 #include <vector>
 
+#include "sim/report.hh"
+
 namespace {
 
 namespace fs = std::filesystem;
@@ -70,9 +72,11 @@ class CliTest : public ::testing::Test
         fs::remove_all(dir_);
     }
 
-    /** Start icfp-sim @p args in the scratch dir; stderr to @p err. */
+    /** Start icfp-sim @p args in the scratch dir; stderr to @p err,
+     *  stdout to @p out. */
     static pid_t
-    spawn(const Args &args, const fs::path &err)
+    spawn(const Args &args, const fs::path &err,
+          const fs::path &out = "/dev/null")
     {
         const pid_t pid = fork();
         if (pid != 0)
@@ -80,7 +84,8 @@ class CliTest : public ::testing::Test
         // Child: only async-signal-safe calls until execv.
         if (chdir(dir_.c_str()) != 0)
             _exit(126);
-        const int out_fd = open("/dev/null", O_WRONLY);
+        const int out_fd =
+            open(out.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
         const int err_fd =
             open(err.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
         if (out_fd < 0 || err_fd < 0)
@@ -108,12 +113,12 @@ class CliTest : public ::testing::Test
         return outcome;
     }
 
-    /** Run icfp-sim @p args to completion. */
+    /** Run icfp-sim @p args to completion, stdout to @p out. */
     static Outcome
-    run(const Args &args)
+    run(const Args &args, const fs::path &out = "/dev/null")
     {
         const fs::path err = fs::path(dir_) / "stderr.txt";
-        return reap(spawn(args, err), err);
+        return reap(spawn(args, err, out), err);
     }
 
     /** Expect @p args to exit 1 with @p token in its stderr. */
@@ -163,6 +168,8 @@ TEST_F(CliTest, RefusesOptionsItsVerbWouldIgnore)
          "--load-trace"},
         {{"ping", "--socket", kNoSocket, "--load-trace", "t.trc"},
          "--load-trace"},
+        // A figure fixes its own configs.
+        {{"figure", "fig8_store_buffer", "--l2-lat", "30"}, "--l2-lat"},
     };
     for (const auto &[args, option] : cases)
         expectRefused(args, args.front() + ": " + option +
@@ -286,8 +293,8 @@ TEST_F(CliTest, UsageListsEveryVerbFromTheTable)
     const Outcome outcome = run({});
     for (const char *verb :
          {"list", "suites", "cores", "run", "compare", "suite", "sweep",
-          "merge", "perf", "trace", "disasm", "version", "serve", "submit",
-          "status", "result", "cancel", "ping", "metrics"})
+          "merge", "perf", "figure", "trace", "disasm", "version", "serve",
+          "submit", "status", "result", "cancel", "ping", "metrics"})
         EXPECT_TRUE(
             outcome.err.find(std::string("\n  ") + verb + " ") !=
                 std::string::npos ||
@@ -327,6 +334,37 @@ TEST_F(CliTest, CheapRunOfEachVerbFamilyExitsZero)
                     "--save-trace", "t.trc"});
     expectAccepted({"disasm", "--load-trace", "t.trc", "--n", "4"});
     expectAccepted({"disasm", "--bench", "gzip", "--insts", "200"});
+}
+
+TEST_F(CliTest, FigureVerbPrintsTablesOrTheirGrid)
+{
+    // An unknown name is refused before any work, listing the names.
+    for (const Args &args :
+         {Args{"figure"}, Args{"figure", "fig5_speedup", "fig9"}}) {
+        expectRefused(args, "figures are: fig5_speedup fig6_l2_latency");
+        expectRefused(args, " area_overheads\n");
+    }
+    expectRefused({"figure", "fig9"}, "unknown figure 'fig9'");
+
+    expectAccepted({"figure", "fig8_store_buffer", "--insts", "2000",
+                    "--format", "csv", "--out", "fig8.csv"});
+    EXPECT_EQ(readAll(fs::path(dir_) / "fig8.csv")
+                  .rfind(icfp::sweepCsvHeader() + "\n", 0),
+              0u);
+
+    // These two run parallel work outside the sweep grid.
+    const Args figures = {"figure", "smt_tradeoff", "mp_safety", "--insts",
+                          "2000", "--jobs"};
+    for (const char *jobs : {"1", "4"}) {
+        Args args = figures;
+        args.push_back(jobs);
+        const Outcome outcome =
+            run(args, fs::path(dir_) / ("figures_j" + std::string(jobs)));
+        EXPECT_TRUE(outcome.exited && outcome.code == 0) << outcome.str();
+    }
+    const std::string serial = readAll(fs::path(dir_) / "figures_j1");
+    EXPECT_NE(serial.find("== MP safety"), std::string::npos) << serial;
+    EXPECT_EQ(serial, readAll(fs::path(dir_) / "figures_j4"));
 }
 
 TEST_F(CliTest, PerfBaselineMustCoverTheSameSchemes)

@@ -1,15 +1,16 @@
 /**
  * @file
  * Absolute result pins. Every other byte-identity check compares two runs
- * of the same build; these tests compare a fresh in-process sweep against
- * CSV files committed under tests/golden/, so a change that moves any
- * simulated number fails here and names each changed (bench, core,
- * column) cell.
+ * of the same build; these tests compare fresh in-process runs against
+ * files committed under tests/golden/: three sweep grids as CSV, where a
+ * change that moves any simulated number names each changed (bench,
+ * core, column) cell; and every paper figure's tables (sim/figures.hh)
+ * as text, where a change names the figure and its first changed line.
  *
  * Simulated results may change only together with kSimSemanticsVersion
  * (sim/simulator.hh). Each golden file starts with the line
  * "# sim_semantics_version=N". After an intentional change, bump the
- * version and regenerate all three files from the build directory:
+ * version and regenerate every file from the build directory:
  *
  * @code
  *   V=2   # the new kSimSemanticsVersion
@@ -23,7 +24,16 @@
  *   { echo "# sim_semantics_version=$V";
  *     ./icfp-sim sweep --cores ooo,cfp --mem-lat 250 --insts 20000 \
  *       --format csv; } > $G/spec2000_ooo_cfp_memlat250_20k.csv
+ *   for F in fig5_speedup fig6_l2_latency fig7_feature_build \
+ *       fig8_store_buffer ablation chain_table poison_bits \
+ *       table2_diagnostics sec53_ooo fig_nonspec smt_tradeoff mp_safety \
+ *       area_overheads; do
+ *     { echo "# sim_semantics_version=$V";
+ *       ./icfp-sim figure $F --insts 20000; } > $G/figures/${F}_20k.txt
+ *   done
  * @endcode
+ *
+ * A figure added to figures() fails here until its file is committed.
  */
 
 #include <gtest/gtest.h>
@@ -34,11 +44,20 @@
 #include <string>
 #include <vector>
 
+#include "sim/figures.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
 #include "workloads/suite_registry.hh"
 
 namespace icfp {
+
+/** Names a figure in gtest's failure messages. */
+void
+PrintTo(const Figure &figure, std::ostream *os)
+{
+    *os << figure.name;
+}
+
 namespace {
 
 constexpr uint64_t kGoldenInsts = 20000;
@@ -133,21 +152,36 @@ describeDiff(const Csv &golden, const Csv &actual)
     return out;
 }
 
-void
-checkGrid(const GoldenGrid &grid)
+/**
+ * The golden file @p path after its version header. Fails the test and
+ * returns "" if the file is missing or has no header; a header from
+ * another kSimSemanticsVersion fails it too.
+ */
+std::string
+goldenBody(const std::string &path)
 {
-    const std::string path = std::string(ICFP_GOLDEN_DIR) + "/" + grid.file;
     const std::string text = readFile(path);
-    ASSERT_FALSE(text.empty()) << "cannot read " << path;
-
     const size_t eol = text.find('\n');
     const std::string first = text.substr(0, eol);
-    ASSERT_EQ(first.rfind(kVersionPrefix, 0), 0u)
-        << path << " lacks its '" << kVersionPrefix << "N' header";
+    if (text.empty() || first.rfind(kVersionPrefix, 0) != 0) {
+        ADD_FAILURE() << path << " is missing or lacks its '"
+                      << kVersionPrefix << "N' header";
+        return "";
+    }
     EXPECT_EQ(std::stoul(first.substr(std::string(kVersionPrefix).size())),
               kSimSemanticsVersion)
         << path << " was generated under another kSimSemanticsVersion; "
         << "regenerate it (see tests/test_golden.cc)";
+    return text.substr(eol + 1);
+}
+
+void
+checkGrid(const GoldenGrid &grid)
+{
+    const std::string path = std::string(ICFP_GOLDEN_DIR) + "/" + grid.file;
+    const std::string golden = goldenBody(path);
+    if (golden.empty())
+        return;
 
     SweepSpec spec;
     for (const BenchmarkSpec &bench : findSuite(grid.suite))
@@ -160,7 +194,6 @@ checkGrid(const GoldenGrid &grid)
 
     SweepEngine engine(4);
     const std::string actual = sweepCsv(engine.run(spec));
-    const std::string golden = text.substr(eol + 1);
     if (actual != golden) {
         ADD_FAILURE() << path << " no longer matches:\n"
                       << describeDiff(parseCsv(golden), parseCsv(actual));
@@ -184,6 +217,65 @@ TEST(Golden, Spec2000OooCfpAtMemLatency250)
     checkGrid({"spec2000_ooo_cfp_memlat250_20k.csv", "spec2000",
                {CoreKind::Ooo, CoreKind::Cfp}, cfg});
 }
+
+/** One engine for every figure, as `icfp-sim figure` runs all the
+ *  figures it is given on one. */
+SweepEngine &
+figureEngine()
+{
+    static SweepEngine engine(4);
+    return engine;
+}
+
+class FigureTest : public ::testing::TestWithParam<Figure>
+{
+};
+
+TEST_P(FigureTest, MatchesPinnedTables)
+{
+    const Figure &figure = GetParam();
+    const std::string path = std::string(ICFP_GOLDEN_DIR) + "/figures/" +
+                             figure.name + "_20k.txt";
+    const std::string golden = goldenBody(path);
+    if (golden.empty())
+        return;
+    const std::string actual =
+        figureText(figure.run(figureEngine(), kGoldenInsts));
+    if (actual == golden)
+        return;
+    const std::vector<std::string> want = splitOn(golden, '\n');
+    const std::vector<std::string> got = splitOn(actual, '\n');
+    size_t line = 0;
+    while (line < want.size() && line < got.size() && want[line] == got[line])
+        ++line;
+    // +2: lines count from 1, after the version header.
+    ADD_FAILURE() << "figure " << figure.name << " no longer matches " << path
+                  << " at line " << line + 2 << ":\n  golden: "
+                  << (line < want.size() ? want[line] : "<end of file>")
+                  << "\n  now:    "
+                  << (line < got.size() ? got[line] : "<end of output>");
+}
+
+TEST_P(FigureTest, PrintsNoNanInfOrEmptyNameAtTinyBudgets)
+{
+    // At 50 insts some runs see no external probe and no bench slows
+    // down; every cell must still be a number and every note complete.
+    const std::string text = figureText(GetParam().run(figureEngine(), 50));
+    std::istringstream words(text);
+    for (std::string word; words >> word;) {
+        EXPECT_TRUE(word != "nan" && word != "-nan" && word != "inf" &&
+                    word != "-inf")
+            << GetParam().name << " prints '" << word << "':\n" << text;
+    }
+    EXPECT_EQ(text.find("()"), std::string::npos)
+        << GetParam().name << " names an empty bench:\n" << text;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Golden, FigureTest, ::testing::ValuesIn(figures()),
+    [](const ::testing::TestParamInfo<Figure> &info) {
+        return std::string(info.param.name);
+    });
 
 } // namespace
 } // namespace icfp

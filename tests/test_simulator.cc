@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "area/area_model.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
@@ -54,16 +52,6 @@ TEST(Simulator, ConfigPlumbingReachesTheCore)
     SimConfig big;
     const RunResult r2 = simulate(CoreKind::ICfp, big, trace);
     EXPECT_LT(r2.simpleRaEntries, r.simpleRaEntries);
-}
-
-TEST(Simulator, BenchInstBudgetEnvOverride)
-{
-    ::setenv("ICFP_BENCH_INSTS", "12345", 1);
-    EXPECT_EQ(benchInstBudget(), 12345u);
-    ::setenv("ICFP_BENCH_INSTS", "not-a-number", 1);
-    EXPECT_EQ(benchInstBudget(), kDefaultBenchInsts);
-    ::unsetenv("ICFP_BENCH_INSTS");
-    EXPECT_EQ(benchInstBudget(), kDefaultBenchInsts);
 }
 
 TEST(Simulator, RunResultDerivedStats)

@@ -3,18 +3,14 @@
  * Sweep-engine tests: grid expansion order, trace-cache sharing (keyed
  * on the full (bench, insts, seed) tuple), the jobs=1 vs jobs=8
  * determinism contract (identical results and identical CSV/JSON
- * bytes), the parallelFor primitive, and smoke tests that the ported
- * fig7/fig8/ablation harness grids (bench/figure_specs.hh) reproduce
- * their legacy serial shape under the engine.
+ * bytes) and the parallelFor primitive. The paper figures built on the
+ * engine are pinned in tests/test_golden.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
-#include <set>
 
-#include "bench/figure_specs.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
 
@@ -159,19 +155,6 @@ TEST(Sweep, ParallelForPropagatesExceptions)
         std::runtime_error);
 }
 
-TEST(Report, TableCsvSkipsNotesAndQuotes)
-{
-    Table t("x");
-    t.setColumns({"label", "a,b", "c"});
-    t.addRow("row \"1\"", {1.25, 2.0}, 2);
-    t.addNote("a note that must not appear");
-    t.addRow("plain", {3.0, 4.5}, 1);
-    EXPECT_EQ(t.csv(),
-              "label,\"a,b\",c\n"
-              "\"row \"\"1\"\"\",1.25,2.00\n"
-              "plain,3.0,4.5\n");
-}
-
 TEST(Sweep, ExpandGridAssignsStableIndices)
 {
     const std::vector<SweepJob> jobs = expandGrid(smallSpec());
@@ -195,308 +178,6 @@ TEST(Sweep, ParseShardSpecAcceptsOneBasedSlices)
           "99999999999999999999/2", "4294967298/4294967298",
           "1/99999999999999999999", "1/200000"})
         EXPECT_FALSE(parseShardSpec(bad)) << bad;
-}
-
-/** Table row labels (the first CSV column) in row order. */
-std::vector<std::string>
-tableRowLabels(const Table &table)
-{
-    const std::string csv = table.csv();
-    std::vector<std::string> labels;
-    size_t start = csv.find('\n') + 1; // skip the header line
-    while (start < csv.size()) {
-        const size_t nl = csv.find('\n', start);
-        const std::string line = csv.substr(start, nl - start);
-        labels.push_back(line.substr(0, line.find(',')));
-        start = nl + 1;
-    }
-    return labels;
-}
-
-TEST(Figures, Fig7GridMatchesLegacySerialShape)
-{
-    const SweepSpec spec = bench::fig7Spec(1500);
-    ASSERT_EQ(spec.benches.size(), 10u); // the 5 fp + 5 int plotted
-    ASSERT_EQ(spec.variants.size(), 6u); // base + the five build bars
-
-    SweepEngine engine;
-    const std::vector<SweepResult> results = engine.run(spec);
-    ASSERT_EQ(results.size(), 60u);
-
-    const Table table = bench::fig7Table(spec, results);
-    EXPECT_EQ(table.csv().substr(0, table.csv().find('\n')),
-              "bench,SLTP(SRL),+chainSB,+nonblock,+poisonvec,+MT(iCFP)");
-    const std::vector<std::string> labels = tableRowLabels(table);
-    // One row per bench in spec order, then the two geomean rows the
-    // legacy serial harness printed.
-    ASSERT_EQ(labels.size(), spec.benches.size() + 2);
-    for (size_t b = 0; b < spec.benches.size(); ++b)
-        EXPECT_EQ(labels[b], spec.benches[b]);
-    EXPECT_EQ(labels[10], "SPECfp geomean");
-    EXPECT_EQ(labels[11], "SPECint geomean");
-}
-
-TEST(Figures, Fig8GridMatchesLegacySerialShape)
-{
-    const SweepSpec spec = bench::fig8Spec(1500);
-    SweepEngine engine;
-    const std::vector<SweepResult> results = engine.run(spec);
-    ASSERT_EQ(results.size(), spec.benches.size() * 4);
-
-    const Table table = bench::fig8Table(spec, results);
-    EXPECT_EQ(table.csv().substr(0, table.csv().find('\n')),
-              "bench,indexed-ltd,chained,fully-assoc,hops/100ld");
-    const std::vector<std::string> labels = tableRowLabels(table);
-    ASSERT_EQ(labels.size(), spec.benches.size() + 1);
-    EXPECT_EQ(labels.back(), "geomean");
-
-    // Spot-check one grid cell against a direct legacy-style run.
-    const RunResult direct = simulate(
-        CoreKind::InOrder, SimConfig{}, engine.trace("applu", spec.insts));
-    EXPECT_EQ(results[0].result.cycles, direct.cycles);
-}
-
-TEST(Figures, AblationStudiesMatchLegacySerialShape)
-{
-    const std::vector<bench::AblationStudy> studies =
-        bench::ablationStudies(1000);
-    ASSERT_EQ(studies.size(), 5u); // the five DESIGN.md ablations
-    const std::vector<size_t> knob_rows = {5, 5, 2, 2, 4};
-
-    SweepEngine engine; // shared: five studies, five traces total
-    engine.setTraceStore(nullptr); // hermetic generation count below
-    for (size_t s = 0; s < studies.size(); ++s) {
-        const bench::AblationStudy &study = studies[s];
-        ASSERT_EQ(study.spec.benches.size(), 5u);
-        ASSERT_EQ(study.spec.variants.size(), knob_rows[s] + 1);
-        const std::vector<SweepResult> results = engine.run(study.spec);
-        const std::vector<std::string> labels =
-            tableRowLabels(bench::ablationTable(study, results));
-        ASSERT_EQ(labels.size(), knob_rows[s]) << study.title;
-        for (size_t v = 1; v < study.spec.variants.size(); ++v) {
-            // Grid labels are study-qualified ("slice=16") so the five
-            // concatenated CSV studies stay distinguishable; the table
-            // shows the bare legacy value ("16").
-            const std::string &label = study.spec.variants[v].label;
-            EXPECT_EQ(study.knobKey + "=" + labels[v - 1], label);
-        }
-    }
-    // All five studies replayed the same five golden traces.
-    EXPECT_EQ(engine.traceGenerations(), 5u);
-}
-
-TEST(Figures, ChainTableGridMatchesLegacySerialBytes)
-{
-    // The ported harness must reproduce the legacy serial loop's table
-    // byte-for-byte. Re-run the legacy algorithm (direct simulate()
-    // calls, bench-major, 512 then 64) here and compare rendered bytes.
-    const uint64_t insts = 2000;
-    const SweepSpec spec = bench::chainTableSpec(insts);
-    ASSERT_EQ(spec.benches.size(), spec2000Suite().size());
-    ASSERT_EQ(spec.variants.size(), 2u);
-
-    SweepEngine engine;
-    const Table ported =
-        bench::chainTableTable(spec, engine.run(spec));
-
-    Table legacy("Chain table size sensitivity: 64-entry vs 512-entry");
-    legacy.setColumns({"bench", "slowdown %", "hops/100ld (512)",
-                       "hops/100ld (64)"});
-    std::vector<double> ratios;
-    double max_slowdown = 0.0;
-    std::string max_bench;
-    for (const BenchmarkSpec &bspec : spec2000Suite()) {
-        const Trace &trace = engine.trace(bspec.name, insts);
-        SimConfig cfg_big;
-        cfg_big.icfp.storeBuffer.chainTableEntries = 512;
-        const RunResult big = simulate(CoreKind::ICfp, cfg_big, trace);
-        SimConfig cfg_small;
-        cfg_small.icfp.storeBuffer.chainTableEntries = 64;
-        const RunResult small = simulate(CoreKind::ICfp, cfg_small, trace);
-        const double slowdown =
-            100.0 * (double(small.cycles) / double(big.cycles) - 1.0);
-        auto hops = [](const RunResult &r) {
-            return r.sbChainLoads ? 100.0 * double(r.sbExcessHops) /
-                                        double(r.sbChainLoads)
-                                  : 0.0;
-        };
-        legacy.addRow(bspec.name, {slowdown, hops(big), hops(small)}, 2);
-        ratios.push_back(double(big.cycles) / double(small.cycles));
-        if (slowdown > max_slowdown) {
-            max_slowdown = slowdown;
-            max_bench = bspec.name;
-        }
-    }
-    legacy.addNote("");
-    legacy.addRow("avg slowdown", {-bench::geomeanSpeedupPct(ratios)}, 2);
-    char max_note[96];
-    std::snprintf(max_note, sizeof(max_note), "max slowdown: %.2f%% (%s)",
-                  max_slowdown, max_bench.c_str());
-    legacy.addNote(max_note);
-    legacy.addNote("");
-    legacy.addNote("Paper: a 64-entry chain table costs 0.3% on average, "
-                   "4% at most (ammp).");
-
-    EXPECT_EQ(ported.str(), legacy.str());
-}
-
-TEST(Figures, Table2GridMatchesLegacySerialBytes)
-{
-    // The ported harness must reproduce the legacy serial loop's table
-    // byte-for-byte. Re-run the legacy algorithm (direct simulate()
-    // calls, bench-major in-order/runahead/icfp) and compare bytes.
-    const uint64_t insts = 2000;
-    const SweepSpec spec = bench::table2Spec(insts);
-    ASSERT_EQ(spec.benches.size(), spec2000Suite().size());
-    ASSERT_EQ(spec.variants.size(), 3u);
-
-    SweepEngine engine;
-    const Table ported = bench::table2Table(spec, engine.run(spec));
-
-    Table legacy("Table 2: iCFP diagnostics (paper reference values in "
-                 "parentheses columns)");
-    legacy.setColumns({"bench", "D$/KI", "(ppr)", "L2/KI", "(ppr)",
-                       "D$MLP iO", "D$MLP RA", "D$MLP iCFP", "L2MLP iO",
-                       "L2MLP RA", "L2MLP iCFP", "Rally/KI"});
-    const SimConfig cfg;
-    for (const BenchmarkSpec &bspec : spec2000Suite()) {
-        const Trace &trace = engine.trace(bspec.name, insts);
-        const RunResult io = simulate(CoreKind::InOrder, cfg, trace);
-        const RunResult ra = simulate(CoreKind::Runahead, cfg, trace);
-        const RunResult ic = simulate(CoreKind::ICfp, cfg, trace);
-        legacy.addRow(bspec.name,
-                      {io.missPerKi(io.mem.dcacheMisses),
-                       bspec.paperDcacheMissKi,
-                       io.missPerKi(io.mem.l2Misses), bspec.paperL2MissKi,
-                       io.dcacheMlp, ra.dcacheMlp, ic.dcacheMlp, io.l2Mlp,
-                       ra.l2Mlp, ic.l2Mlp, ic.rallyPerKi()},
-                      1);
-    }
-    legacy.addNote("");
-    legacy.addNote("Expected shape (paper Table 2): iCFP MLP >= RA MLP >= "
-                   "in-order MLP nearly everywhere;");
-    legacy.addNote("Rally/KI large for dependent-miss codes (paper: mcf "
-                   "2876, ammp 428, twolf 224, vpr 187).");
-
-    EXPECT_EQ(ported.str(), legacy.str());
-}
-
-TEST(Figures, Sec53GridMatchesLegacySerialBytes)
-{
-    const uint64_t insts = 2000;
-    const SweepSpec spec = bench::sec53Spec(insts);
-    ASSERT_EQ(spec.variants.size(), 4u);
-
-    SweepEngine engine;
-    const Table ported = bench::sec53Table(spec, engine.run(spec));
-
-    Table legacy("Section 5.3: out-of-order context "
-                 "(" + std::to_string(insts) + " insts/benchmark)");
-    legacy.setColumns({"bench", "base IPC", "iCFP %", "OoO %", "CFP %"});
-    const SimConfig cfg;
-    std::vector<double> r_ic, r_ooo, r_cfp;
-    for (const BenchmarkSpec &bspec : spec2000Suite()) {
-        const Trace &trace = engine.trace(bspec.name, insts);
-        const RunResult base = simulate(CoreKind::InOrder, cfg, trace);
-        const RunResult ic = simulate(CoreKind::ICfp, cfg, trace);
-        const RunResult ooo = simulate(CoreKind::Ooo, cfg, trace);
-        const RunResult cfp = simulate(CoreKind::Cfp, cfg, trace);
-        legacy.addRow(bspec.name,
-                      {base.ipc(), percentSpeedup(base, ic),
-                       percentSpeedup(base, ooo),
-                       percentSpeedup(base, cfp)},
-                      1);
-        auto ratio = [&base](const RunResult &r) {
-            return double(base.cycles) / double(r.cycles);
-        };
-        r_ic.push_back(ratio(ic));
-        r_ooo.push_back(ratio(ooo));
-        r_cfp.push_back(ratio(cfp));
-    }
-    legacy.addNote("");
-    legacy.addRow("SPEC geomean",
-                  {0.0, bench::geomeanSpeedupPct(r_ic),
-                   bench::geomeanSpeedupPct(r_ooo),
-                   bench::geomeanSpeedupPct(r_cfp)},
-                  1);
-    legacy.addNote("paper: iCFP +16%, 2-way out-of-order +68%, "
-                   "out-of-order CFP +83% (Section 5.3)");
-
-    EXPECT_EQ(ported.str(), legacy.str());
-}
-
-TEST(Figures, PoisonBitsGridMatchesLegacySerialBytes)
-{
-    const uint64_t insts = 2000;
-    const SweepSpec spec = bench::poisonBitsSpec(insts);
-    ASSERT_EQ(spec.variants.size(), 1 + bench::poisonBitsWidths().size());
-
-    SweepEngine engine;
-    const Table ported = bench::poisonBitsTable(spec, engine.run(spec));
-
-    Table legacy("Poison vector width: iCFP % speedup over in-order");
-    legacy.setColumns({"bench", "1 bit", "2 bits", "4 bits", "8 bits",
-                       "8b over 1b %"});
-    const unsigned widths[] = {1, 2, 4, 8};
-    std::vector<std::vector<double>> ratios(std::size(widths));
-    for (const BenchmarkSpec &bspec : spec2000Suite()) {
-        const Trace &trace = engine.trace(bspec.name, insts);
-        SimConfig base_cfg;
-        const RunResult base =
-            simulate(CoreKind::InOrder, base_cfg, trace);
-        std::vector<double> row;
-        Cycle cycles1 = 0, cycles8 = 0;
-        for (size_t w = 0; w < std::size(widths); ++w) {
-            SimConfig cfg;
-            cfg.icfp.poisonBits = widths[w];
-            const RunResult r = simulate(CoreKind::ICfp, cfg, trace);
-            row.push_back(percentSpeedup(base, r));
-            ratios[w].push_back(double(base.cycles) / double(r.cycles));
-            if (widths[w] == 1)
-                cycles1 = r.cycles;
-            if (widths[w] == 8)
-                cycles8 = r.cycles;
-        }
-        row.push_back(100.0 * (double(cycles1) / double(cycles8) - 1.0));
-        legacy.addRow(bspec.name, row, 1);
-    }
-    legacy.addNote("");
-    std::vector<double> mean_row;
-    for (const auto &r : ratios)
-        mean_row.push_back(bench::geomeanSpeedupPct(r));
-    legacy.addRow("geomean", mean_row, 1);
-    legacy.addNote("");
-    legacy.addNote("Paper (Section 3.4): 8 poison bits gain 1.5% on "
-                   "average over a single bit; mcf gains 6%.");
-
-    EXPECT_EQ(ported.str(), legacy.str());
-}
-
-TEST(Figures, SuiteSpeedupGridCoversEverySchemeAndFamily)
-{
-    // The fig_nonspec grid: every nonspec bench × (base + every other
-    // registered scheme), geomean rows per family plus overall.
-    const SweepSpec spec = bench::suiteSpeedupSpec(kNonspecSuiteName, 2000);
-    ASSERT_EQ(spec.benches.size(), findSuite(kNonspecSuiteName).size());
-    ASSERT_EQ(spec.variants.size(),
-              CoreRegistry::instance().kinds().size());
-    EXPECT_EQ(spec.variants.front().label, "base");
-
-    SweepEngine engine;
-    const std::vector<SweepResult> results = engine.run(spec);
-    ASSERT_EQ(results.size(), spec.benches.size() * spec.variants.size());
-
-    const Table table =
-        bench::suiteSpeedupTable(kNonspecSuiteName, spec, results);
-    const std::vector<std::string> labels = tableRowLabels(table);
-    // 12 bench rows + graph/join/kv geomeans + overall.
-    ASSERT_EQ(labels.size(), spec.benches.size() + 4);
-    for (size_t b = 0; b < spec.benches.size(); ++b)
-        EXPECT_EQ(labels[b], spec.benches[b]);
-    EXPECT_EQ(labels[spec.benches.size() + 0], "graph geomean");
-    EXPECT_EQ(labels[spec.benches.size() + 1], "join geomean");
-    EXPECT_EQ(labels[spec.benches.size() + 2], "kv geomean");
-    EXPECT_EQ(labels.back(), "overall geomean");
 }
 
 TEST(Sweep, NonspecSuiteSweepDeterministicAcrossJobCounts)

@@ -15,6 +15,8 @@
  *             byte-identical unsharded report
  *   perf      measure simulator throughput over one suite's grid;
  *             emits BENCH_perf.json (see sim/perf_harness.hh)
+ *   figure    regenerate paper figures and tables by name
+ *             (sim/figures.hh); csv/json emit the grid behind them
  *   trace     generate and save a golden trace
  *   disasm    print the first N dynamic instructions of a trace
  *   version   sim + registry identity as JSON (the service handshake /
@@ -64,6 +66,7 @@
 #include "isa/trace_io.hh"
 #include "service/client.hh"
 #include "service/server.hh"
+#include "sim/figures.hh"
 #include "sim/merge.hh"
 #include "sim/perf_harness.hh"
 #include "sim/report.hh"
@@ -168,7 +171,7 @@ constexpr uint32_t kList = 1u << 0, kSuites = 1u << 1, kCores = 1u << 2,
                    kTrace = 1u << 9, kDisasm = 1u << 10, kVersion = 1u << 11,
                    kServe = 1u << 12, kSubmit = 1u << 13, kStatus = 1u << 14,
                    kResult = 1u << 15, kCancel = 1u << 16, kPing = 1u << 17,
-                   kMetrics = 1u << 18;
+                   kMetrics = 1u << 18, kFigure = 1u << 19;
 /** Verbs that build (or load) one golden trace via makeTrace(). */
 constexpr uint32_t kOneTrace = kRun | kCompare | kTrace | kDisasm;
 /** Verbs that run on the parallel sweep engine. */
@@ -219,7 +222,7 @@ const OptionSpec kOptions[] = {
     {"--suite", Kind::Text, &Options::suite,
      kList | kEngine | kPerf | kSubmit, "S"},
     {"--insts", Kind::Uint, &Options::insts,
-     kOneTrace | kEngine | kPerf | kSubmit, "N"},
+     kOneTrace | kEngine | kPerf | kSubmit | kFigure, "N"},
     {"--seed", Kind::Uint, &Options::seed, kOneTrace | kEngine | kSubmit,
      "S"},
     {"--l2-lat", Kind::Uint, &Options::l2Latency, kConfigured, "N", 0, kU64,
@@ -240,17 +243,19 @@ const OptionSpec kOptions[] = {
     {"--save-trace", Kind::Path, &Options::saveTrace, kOneTrace, "FILE"},
     {"--n", Kind::Uint, &Options::disasmCount, kDisasm, "N"},
 
-    {"--jobs", Kind::Uint, &Options::jobs, kEngine | kServe, "N", 0, kU32,
+    {"--jobs", Kind::Uint, &Options::jobs, kEngine | kServe | kFigure, "N",
+     0, kU32,
      "parallelism is the daemon's ('serve --jobs'), not a client's"},
     {"--benches", Kind::Text, &Options::benches, kSweep | kPerf | kSubmit,
      "A,B"},
     {"--cores", Kind::Text, &Options::cores, kSweep | kSubmit, "X,Y"},
-    {"--format", Kind::Enum, &Options::format, kSweep | kSubmit,
+    {"--format", Kind::Enum, &Options::format, kSweep | kSubmit | kFigure,
      "table|csv|json"},
     {"--out", Kind::Path, &Options::out,
-     kSweep | kMerge | kPerf | kSubmit | kResult, "FILE"},
+     kSweep | kMerge | kPerf | kSubmit | kResult | kFigure, "FILE"},
     {"--shard", Kind::Text, &Options::shard, kSweep, "i/N"},
-    {"--trace-dir", Kind::Path, &Options::traceDir, kEngine | kServe, "DIR"},
+    {"--trace-dir", Kind::Path, &Options::traceDir,
+     kEngine | kServe | kFigure, "DIR"},
 
     {"--socket", Kind::Path, &Options::socket, kService, "PATH"},
     {"--queue-depth", Kind::Uint, &Options::queueDepth, kServe, "K", 1},
@@ -758,6 +763,49 @@ cmdMerge(const Options &opt)
     return emitPayload(opt, text);
 }
 
+/**
+ * Run the named figures on one engine and print their tables, or with
+ * --format csv|json the sweep artifact of their grids, concatenated.
+ * Each figure fixes its own configs, so kConfigured options are not
+ * accepted here.
+ */
+int
+cmdFigure(const Options &opt)
+{
+    std::vector<const Figure *> chosen;
+    for (const std::string &name : opt.inputs) {
+        chosen.push_back(findFigure(name));
+        if (!chosen.back()) {
+            std::fprintf(stderr, "figure: unknown figure '%s'\n",
+                         name.c_str());
+            break;
+        }
+    }
+    if (chosen.empty() || !chosen.back()) {
+        std::string names;
+        for (const Figure &figure : figures())
+            names += std::string(names.empty() ? "" : " ") + figure.name;
+        std::fprintf(stderr, "figure: figures are: %s\n", names.c_str());
+        return 1;
+    }
+    if (!outWritable(opt))
+        return 1;
+
+    SweepEngine engine(engineJobs(opt));
+    applyTraceDir(engine, opt);
+    std::string text;
+    std::vector<SweepResult> grid;
+    for (const Figure *figure : chosen) {
+        const FigureOutput out = figure->run(engine, opt.insts);
+        text += (text.empty() ? "" : "\n") + figureText(out);
+        grid.insert(grid.end(), out.grid.begin(), out.grid.end());
+    }
+    printStoreStats(engine);
+    if (opt.format != "table")
+        text = sweepArtifact(grid, opt.format, std::nullopt, 0, 0);
+    return emitPayload(opt, text);
+}
+
 int
 cmdPerf(const Options &opt)
 {
@@ -1222,6 +1270,7 @@ const VerbSpec kVerbs[] = {
     {"sweep", kSweep, cmdSweep},
     {"merge", kMerge, cmdMerge, {}, "SHARD..."},
     {"perf", kPerf, cmdPerf},
+    {"figure", kFigure, cmdFigure, {}, "NAME..."},
     {"trace", kTrace, cmdTrace, {&Options::saveTrace}},
     {"disasm", kDisasm, cmdDisasm},
     {"version", kVersion, cmdVersion},

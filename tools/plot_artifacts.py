@@ -3,8 +3,8 @@
 
 Inputs are the machine-readable artifacts the harnesses already emit:
 
-  * sweep CSVs (``icfp-sim sweep --format csv``, ``ICFP_BENCH_CSV`` dumps,
-    fetched service artifacts) -> a fig5-style grouped-bar chart of
+  * sweep CSVs (``icfp-sim sweep --format csv``, ``icfp-sim figure
+    --format csv``, fetched service artifacts) -> a fig5-style grouped-bar chart of
     percent speedup over the in-order baseline, one group per benchmark,
     one bar per scheme;
   * ``BENCH_perf.json`` files (``icfp-sim perf``) -> simulator throughput
