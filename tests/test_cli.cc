@@ -345,6 +345,8 @@ TEST_F(CliTest, FigureVerbPrintsTablesOrTheirGrid)
         expectRefused(args, " area_overheads\n");
     }
     expectRefused({"figure", "fig9"}, "unknown figure 'fig9'");
+    expectRefused({"figure", "fig5_speedup", "--insts", "0"},
+                  "--insts must be at least 1");
 
     expectAccepted({"figure", "fig8_store_buffer", "--insts", "2000",
                     "--format", "csv", "--out", "fig8.csv"});

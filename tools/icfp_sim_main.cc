@@ -788,6 +788,11 @@ cmdFigure(const Options &opt)
         std::fprintf(stderr, "figure: figures are: %s\n", names.c_str());
         return 1;
     }
+    if (opt.insts == 0) {
+        // Every figure divides by its runs' cycle counts.
+        std::fprintf(stderr, "figure: --insts must be at least 1\n");
+        return 1;
+    }
     if (!outWritable(opt))
         return 1;
 
