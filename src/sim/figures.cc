@@ -704,23 +704,6 @@ mpSafety(SweepEngine &engine, uint64_t insts)
         quiet_jobs.push_back({bench, "quiet", CoreKind::ICfp, SimConfig{}});
     const std::vector<SweepResult> quiet = engine.run(quiet_jobs, insts);
 
-    std::vector<SweepJob> jobs;
-    for (size_t b = 0; b < benches.size(); ++b) {
-        for (const Cycle period : periods) {
-            for (const unsigned bits : sig_bits) {
-                SimConfig cfg;
-                cfg.icfp.signatureBits = bits;
-                cfg.icfp.externalStores =
-                    externalTraffic(period, quiet[b].result.cycles * 2);
-                jobs.push_back({benches[b],
-                                "sig=" + std::to_string(bits) +
-                                    "/period=" + std::to_string(period),
-                                CoreKind::ICfp, std::move(cfg)});
-            }
-        }
-    }
-    const std::vector<SweepResult> traffic = engine.run(jobs, insts);
-
     std::vector<std::string> columns = {"bench / stores-per-cycle"};
     for (const unsigned bits : sig_bits)
         columns.push_back(std::to_string(bits) + "b %");
@@ -731,10 +714,26 @@ mpSafety(SweepEngine &engine, uint64_t insts)
                         "probes")};
     out.tables[0].setColumns(columns);
     out.tables[1].setColumns(columns);
-    size_t next = 0;
+    // One bench per run: each job carries its own copy of the traffic,
+    // up to cycles/5 stores, so only one bench's copies are live at once.
     for (size_t b = 0; b < benches.size(); ++b) {
         const RunResult &q = quiet[b].result;
+        std::vector<SweepJob> jobs;
+        for (const Cycle period : periods) {
+            for (const unsigned bits : sig_bits) {
+                SimConfig cfg;
+                cfg.icfp.signatureBits = bits;
+                cfg.icfp.externalStores =
+                    externalTraffic(period, q.cycles * 2);
+                jobs.push_back({benches[b],
+                                "sig=" + std::to_string(bits) +
+                                    "/period=" + std::to_string(period),
+                                CoreKind::ICfp, std::move(cfg)});
+            }
+        }
+        const std::vector<SweepResult> traffic = engine.run(jobs, insts);
         out.grid.push_back(quiet[b]);
+        size_t next = 0;
         for (const Cycle period : periods) {
             std::vector<double> slow_row, squash_row;
             for (size_t i = 0; i < std::size(sig_bits); ++i, ++next) {

@@ -24,13 +24,15 @@
  *   { echo "# sim_semantics_version=$V";
  *     ./icfp-sim sweep --cores ooo,cfp --mem-lat 250 --insts 20000 \
  *       --format csv; } > $G/spec2000_ooo_cfp_memlat250_20k.csv
- *   for F in fig5_speedup fig6_l2_latency fig7_feature_build \
- *       fig8_store_buffer ablation chain_table poison_bits \
- *       table2_diagnostics sec53_ooo fig_nonspec smt_tradeoff mp_safety \
- *       area_overheads; do
+ *   # `icfp-sim figure` with no name lists every figure (and exits 1).
+ *   FIGURES=$(./icfp-sim figure 2>&1 | sed -n 's/^figure: figures are: //p')
+ *   for F in $FIGURES; do
  *     { echo "# sim_semantics_version=$V";
  *       ./icfp-sim figure $F --insts 20000; } > $G/figures/${F}_20k.txt
  *   done
+ *   { echo "# sim_semantics_version=$V";
+ *     ./icfp-sim figure ablation --insts 20000 --format csv; } \
+ *       > $G/figures/ablation_grid_20k.csv
  * @endcode
  *
  * A figure added to figures() fails here until its file is committed.
@@ -40,6 +42,8 @@
 
 #include <fstream>
 #include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -153,11 +157,11 @@ describeDiff(const Csv &golden, const Csv &actual)
 }
 
 /**
- * The golden file @p path after its version header. Fails the test and
- * returns "" if the file is missing or has no header; a header from
- * another kSimSemanticsVersion fails it too.
+ * The golden file @p path after its version header, which may be empty.
+ * Fails the test and returns nullopt if the file is missing or has no
+ * header; a header from another kSimSemanticsVersion fails it too.
  */
-std::string
+std::optional<std::string>
 goldenBody(const std::string &path)
 {
     const std::string text = readFile(path);
@@ -166,7 +170,7 @@ goldenBody(const std::string &path)
     if (text.empty() || first.rfind(kVersionPrefix, 0) != 0) {
         ADD_FAILURE() << path << " is missing or lacks its '"
                       << kVersionPrefix << "N' header";
-        return "";
+        return std::nullopt;
     }
     EXPECT_EQ(std::stoul(first.substr(std::string(kVersionPrefix).size())),
               kSimSemanticsVersion)
@@ -175,12 +179,23 @@ goldenBody(const std::string &path)
     return text.substr(eol + 1);
 }
 
+/** Fails naming each changed cell unless @p actual equals @p golden. */
+void
+checkCsv(const std::string &path, const std::string &golden,
+         const std::string &actual)
+{
+    if (actual != golden) {
+        ADD_FAILURE() << path << " no longer matches:\n"
+                      << describeDiff(parseCsv(golden), parseCsv(actual));
+    }
+}
+
 void
 checkGrid(const GoldenGrid &grid)
 {
     const std::string path = std::string(ICFP_GOLDEN_DIR) + "/" + grid.file;
-    const std::string golden = goldenBody(path);
-    if (golden.empty())
+    const std::optional<std::string> golden = goldenBody(path);
+    if (!golden)
         return;
 
     SweepSpec spec;
@@ -193,11 +208,7 @@ checkGrid(const GoldenGrid &grid)
     spec.insts = kGoldenInsts;
 
     SweepEngine engine(4);
-    const std::string actual = sweepCsv(engine.run(spec));
-    if (actual != golden) {
-        ADD_FAILURE() << path << " no longer matches:\n"
-                      << describeDiff(parseCsv(golden), parseCsv(actual));
-    }
+    checkCsv(path, *golden, sweepCsv(engine.run(spec)));
 }
 
 TEST(Golden, Spec2000AllCores)
@@ -236,14 +247,14 @@ TEST_P(FigureTest, MatchesPinnedTables)
     const Figure &figure = GetParam();
     const std::string path = std::string(ICFP_GOLDEN_DIR) + "/figures/" +
                              figure.name + "_20k.txt";
-    const std::string golden = goldenBody(path);
-    if (golden.empty())
+    const std::optional<std::string> golden = goldenBody(path);
+    if (!golden)
         return;
     const std::string actual =
         figureText(figure.run(figureEngine(), kGoldenInsts));
-    if (actual == golden)
+    if (actual == *golden)
         return;
-    const std::vector<std::string> want = splitOn(golden, '\n');
+    const std::vector<std::string> want = splitOn(*golden, '\n');
     const std::vector<std::string> got = splitOn(actual, '\n');
     size_t line = 0;
     while (line < want.size() && line < got.size() && want[line] == got[line])
@@ -260,7 +271,8 @@ TEST_P(FigureTest, PrintsNoNanInfOrEmptyNameAtTinyBudgets)
 {
     // At 50 insts some runs see no external probe and no bench slows
     // down; every cell must still be a number and every note complete.
-    const std::string text = figureText(GetParam().run(figureEngine(), 50));
+    const FigureOutput out = GetParam().run(figureEngine(), 50);
+    const std::string text = figureText(out);
     std::istringstream words(text);
     for (std::string word; words >> word;) {
         EXPECT_TRUE(word != "nan" && word != "-nan" && word != "inf" &&
@@ -269,6 +281,37 @@ TEST_P(FigureTest, PrintsNoNanInfOrEmptyNameAtTinyBudgets)
     }
     EXPECT_EQ(text.find("()"), std::string::npos)
         << GetParam().name << " names an empty bench:\n" << text;
+}
+
+TEST_P(FigureTest, GridRowsHaveUniqueLabels)
+{
+    // `figure --format csv` emits the grid; a row must say which bench
+    // and which configuration of its figure it is.
+    const FigureOutput out = GetParam().run(figureEngine(), 50);
+    std::set<std::string> seen;
+    for (const SweepResult &row : out.grid) {
+        const std::string key = row.bench + "/" + row.variant;
+        EXPECT_FALSE(row.bench.empty() || row.variant.empty())
+            << GetParam().name << " has an unlabelled grid row " << key;
+        EXPECT_TRUE(seen.insert(key).second)
+            << GetParam().name << " has two grid rows labelled " << key;
+    }
+}
+
+TEST(Golden, AblationGridMatchesPinnedCsv)
+{
+    // The raw grid behind a figure's tables, as `figure --format csv`
+    // emits it: ablation's five studies label their variants by study
+    // ("slice=16", "skips/base") over the same five benches.
+    const std::string path =
+        std::string(ICFP_GOLDEN_DIR) + "/figures/ablation_grid_20k.csv";
+    const std::optional<std::string> golden = goldenBody(path);
+    if (!golden)
+        return;
+    checkCsv(path, *golden,
+             sweepCsv(findFigure("ablation")->run(figureEngine(),
+                                                  kGoldenInsts)
+                          .grid));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -798,17 +798,19 @@ cmdFigure(const Options &opt)
 
     SweepEngine engine(engineJobs(opt));
     applyTraceDir(engine, opt);
-    std::string text;
-    std::vector<SweepResult> grid;
+    FigureOutput all;
     for (const Figure *figure : chosen) {
-        const FigureOutput out = figure->run(engine, opt.insts);
-        text += (text.empty() ? "" : "\n") + figureText(out);
-        grid.insert(grid.end(), out.grid.begin(), out.grid.end());
+        FigureOutput out = figure->run(engine, opt.insts);
+        std::move(out.tables.begin(), out.tables.end(),
+                  std::back_inserter(all.tables));
+        std::move(out.grid.begin(), out.grid.end(),
+                  std::back_inserter(all.grid));
     }
     printStoreStats(engine);
-    if (opt.format != "table")
-        text = sweepArtifact(grid, opt.format, std::nullopt, 0, 0);
-    return emitPayload(opt, text);
+    return emitPayload(opt, opt.format == "table"
+                                ? figureText(all)
+                                : sweepArtifact(all.grid, opt.format,
+                                                std::nullopt, 0, 0));
 }
 
 int
