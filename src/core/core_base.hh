@@ -2,8 +2,10 @@
  * @file
  * Shared machinery for all timing core models: the per-cycle issue-slot
  * accounting (2-way: 2 int, 1 fp/mem/branch), the register timing
- * scoreboard, front-end redirect bookkeeping, and the small associative
- * store buffer used by the baseline (Table 1: 32-entry).
+ * scoreboard, front-end redirect bookkeeping, the small associative
+ * store buffer used by the baseline (Table 1: 32-entry), the baseline's
+ * in-order issue step every in-order-pipeline scheme reuses, and the
+ * idle-cycle clock rule.
  *
  * Every core model replays a golden Trace (isa/interpreter.hh): the trace
  * supplies resolved addresses, values and branch outcomes, while the model
@@ -14,13 +16,16 @@
 #ifndef ICFP_CORE_CORE_BASE_HH
 #define ICFP_CORE_CORE_BASE_HH
 
+#include <algorithm>
 #include <array>
 #include <deque>
 #include <string>
 
 #include "bpred/branch_unit.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "core/params.hh"
+#include "core/register_file.hh"
 #include "isa/interpreter.hh"
 #include "mem/hierarchy.hh"
 
@@ -156,6 +161,21 @@ class SimpleStoreBuffer
     unsigned capacity_;
 };
 
+/** How one issue attempt ended (CoreBase::issueInOrder, issueOrDefer). */
+struct IssueStep
+{
+    enum Outcome : uint8_t {
+        Issued,     ///< took its slot; the next instruction may follow
+        ModeSwitch, ///< took its slot and left normal mode: stop issuing
+        Stalled,    ///< did not issue
+    };
+
+    Outcome outcome = Issued;
+    /** Stalled only: the next cycle a retry can succeed (kCycleNever =
+     *  state-driven, some other event must unblock it). */
+    Cycle wake = kCycleNever;
+};
+
 /** Base class holding the state every timing core shares. */
 class CoreBase
 {
@@ -170,6 +190,162 @@ class CoreBase
     const std::string &name() const { return name_; }
 
   protected:
+    /** issueInOrder()'s write_value for cores that track timing only. */
+    struct NoValueWrite
+    {
+        void operator()(const DynInst &) const {}
+    };
+
+    /** Livelock guard for every cycle loop (a simulator-bug detector). */
+    static constexpr Cycle kMaxRunCycles = Cycle{1} << 36;
+
+    /**
+     * End the cycle. A cycle that did work steps the clock by one; an
+     * idle cycle changes no state but the clock, so it jumps straight to
+     * @p wake, the next cycle at which anything can change (kCycleNever:
+     * no time-driven event is known, so step by one). Every cycle count
+     * is exactly what per-cycle polling would produce.
+     */
+    void
+    advanceClock(bool did_work, Cycle wake)
+    {
+        cycle_ = did_work || wake == kCycleNever ? cycle_ + 1
+                                                 : std::max(cycle_ + 1, wake);
+        ICFP_ASSERT(cycle_ < kMaxRunCycles);
+    }
+
+    /**
+     * One non-speculative attempt to issue @p di down the 2-way in-order
+     * pipeline: wait for the operands (this is where the baseline "stalls
+     * at the first miss-dependent instruction") and for a free slot, then
+     * execute control, Nop/Halt and ALU instructions and take the slot.
+     * Loads and stores are the schemes' own: @p load and @p store are
+     * called as `IssueStep(const DynInst &)`, and @p write_value
+     * (`void(const DynInst &)`) lets a core that carries register values
+     * record a control or ALU result. The caller owns the front-end
+     * bubble check, its trace position and any mode switch.
+     */
+    template <typename Load, typename Store,
+              typename WriteValue = NoValueWrite>
+    IssueStep
+    issueInOrder(const DynInst &di, Load &&load, Store &&store,
+                 WriteValue &&write_value = NoValueWrite{})
+    {
+        const Cycle src_ready = srcReadyCycle(di);
+        if (src_ready > cycle_)
+            return {IssueStep::Stalled, src_ready};
+        const FuClass fu = fuClass(di.op);
+        if (!slots_.available(fu))
+            return {IssueStep::Stalled, cycle_ + 1};
+
+        IssueStep step;
+        switch (di.op) {
+          case Opcode::Ld:
+            step = load(di);
+            break;
+          case Opcode::St:
+            step = store(di);
+            break;
+          case Opcode::Beq:
+          case Opcode::Bne:
+          case Opcode::Blt:
+          case Opcode::Jmp:
+          case Opcode::Call:
+          case Opcode::Ret: {
+            const BranchPrediction pred = bpred_.predict(di);
+            if (di.op == Opcode::Call) {
+                write_value(di);
+                setDstReady(di, cycle_ + 1);
+            }
+            resolveBranch(di, pred, cycle_);
+            break;
+          }
+          case Opcode::Halt:
+          case Opcode::Nop:
+            break;
+          default: // ALU
+            write_value(di);
+            setDstReady(di, cycle_ + fuLatency(di.op));
+            break;
+        }
+        if (step.outcome != IssueStep::Stalled)
+            slots_.take(fu);
+        return step;
+    }
+
+    /**
+     * One tail attempt for a core that defers miss-dependent work to a
+     * slice (SLTP, iCFP). In an epoch (@p in_epoch), an instruction with
+     * a poisoned source goes to @p defer (`IssueStep(const DynInst &,
+     * PoisonMask)`) in an FuClass::None slot once its other sources are
+     * ready to be captured at the latch. Anything else issues in order,
+     * writing its control or ALU value into @p rf as @p seq.
+     */
+    template <typename Defer, typename Load, typename Store>
+    IssueStep
+    issueOrDefer(const DynInst &di, bool in_epoch, RegisterFile &rf,
+                 SeqNum seq, Defer &&defer, Load &&load, Store &&store)
+    {
+        PoisonMask poison = 0;
+        if (in_epoch) {
+            for (const RegId src : {di.src1, di.src2}) {
+                if (src != kNoReg)
+                    poison |= rf.poison(src);
+            }
+        }
+        if (poison == 0) {
+            return issueInOrder(di, load, store, [&](const DynInst &inst) {
+                rf.write(inst.dst, inst.result(), seq);
+            });
+        }
+
+        Cycle side_ready = 0;
+        for (const RegId src : {di.src1, di.src2}) {
+            if (src != kNoReg && src != 0 && rf.poison(src) == 0)
+                side_ready = std::max(side_ready, regReady_[src]);
+        }
+        if (side_ready > cycle_)
+            return {IssueStep::Stalled, side_ready};
+        if (!slots_.available(FuClass::None))
+            return {IssueStep::Stalled, cycle_ + 1};
+        const IssueStep step = defer(di, poison);
+        if (step.outcome != IssueStep::Stalled)
+            slots_.take(FuClass::None);
+        return step;
+    }
+
+    /**
+     * A load's baseline store-buffer lookup: a match forwards its value at
+     * D$-hit latency. @return true iff @p sb forwarded
+     */
+    bool
+    forwardFromBuffer(const SimpleStoreBuffer &sb, const DynInst &di)
+    {
+        RegVal fwd;
+        if (!sb.forward(di.addr, &fwd))
+            return false;
+        ICFP_ASSERT(fwd == di.result());
+        setDstReady(di, cycle_ + mem_.params().dcacheHitLatency);
+        return true;
+    }
+
+    /**
+     * The baseline store: write the line and retire into @p sb, or, while
+     * @p sb is full, stall the front end until its head entry frees.
+     */
+    IssueStep
+    storeToBuffer(SimpleStoreBuffer &sb, const DynInst &di)
+    {
+        if (sb.full()) {
+            const Cycle free_at = std::max(sb.headFreeAt(), cycle_ + 1);
+            fetchReadyAt_ = std::max(fetchReadyAt_, free_at);
+            return {IssueStep::Stalled, fetchReadyAt_};
+        }
+        const MemAccessResult r = mem_.store(di.addr, cycle_);
+        sb.push(di.addr, di.storeValue(), r.doneAt);
+        return {};
+    }
+
     /** Earliest cycle at which all of @p di's sources are timing-ready. */
     Cycle
     srcReadyCycle(const DynInst &di) const

@@ -7,13 +7,6 @@
 
 namespace icfp {
 
-namespace {
-
-/** Deadlock guard for the cycle loop (simulator bug detector). */
-constexpr Cycle kMaxRunCycles = Cycle{1} << 36;
-
-} // namespace
-
 ICfpCore::ICfpCore(const CoreParams &core_params, const MemParams &mem_params,
                    const ICfpParams &icfp_params)
     : CoreBase("icfp", core_params, mem_params),
@@ -156,29 +149,7 @@ ICfpCore::processExternalStores()
 // Tail (advance / normal) execution
 // --------------------------------------------------------------------------
 
-PoisonMask
-ICfpCore::srcPoison(const DynInst &di) const
-{
-    PoisonMask poison = 0;
-    if (di.src1 != kNoReg)
-        poison |= rf0_.poison(di.src1);
-    if (di.src2 != kNoReg)
-        poison |= rf0_.poison(di.src2);
-    return poison;
-}
-
-Cycle
-ICfpCore::srcReadyNonPoisoned(const DynInst &di) const
-{
-    Cycle ready = 0;
-    if (di.src1 != kNoReg && di.src1 != 0 && rf0_.poison(di.src1) == 0)
-        ready = std::max(ready, regReady_[di.src1]);
-    if (di.src2 != kNoReg && di.src2 != 0 && rf0_.poison(di.src2) == 0)
-        ready = std::max(ready, regReady_[di.src2]);
-    return ready;
-}
-
-bool
+IssueStep
 ICfpCore::tailLoad(const DynInst &di)
 {
     const SeqNum seq = tailIdx_;
@@ -188,8 +159,7 @@ ICfpCore::tailLoad(const DynInst &di)
         // IndexedLimited: wait for the conflicting store. Each retry
         // performs (and counts) a chain-table lookup, so idle-skip must
         // stay off here to keep the per-cycle retry cadence.
-        tailWake_ = cycle_ + 1;
-        return false;
+        return {IssueStep::Stalled, cycle_ + 1};
     }
 
     if (fwd.found && !fwd.poisoned) {
@@ -198,7 +168,7 @@ ICfpCore::tailLoad(const DynInst &di)
         rf0_.write(di.dst, fwd.value, seq);
         setDstReady(di, cycle_ + mem_.params().dcacheHitLatency +
                             fwd.excessHops);
-        return true;
+        return {};
     }
 
     if (fwd.found && fwd.poisoned) {
@@ -207,8 +177,8 @@ ICfpCore::tailLoad(const DynInst &di)
         ICFP_ASSERT(inEpoch_);
         if (slice_.full()) {
             enterSimpleRunahead();
-            tailWake_ = cycle_ + 1; // mode switch: poll again next cycle
-            return false;
+            // Mode switch: poll again next cycle.
+            return {IssueStep::Stalled, cycle_ + 1};
         }
         SliceEntry entry;
         entry.traceIdx = static_cast<uint32_t>(tailIdx_);
@@ -220,7 +190,7 @@ ICfpCore::tailLoad(const DynInst &di)
         slice_.push(entry);
         rf0_.writePoisoned(di.dst, fwd.poison, seq);
         ++result_.slicedInsts;
-        return true;
+        return {};
     }
 
     // No forwarding: access the hierarchy.
@@ -247,8 +217,8 @@ ICfpCore::tailLoad(const DynInst &di)
     if (poison_it) {
         if (slice_.full()) {
             enterSimpleRunahead();
-            tailWake_ = cycle_ + 1; // mode switch: poll again next cycle
-            return false;
+            // Mode switch: poll again next cycle.
+            return {IssueStep::Stalled, cycle_ + 1};
         }
         const PoisonMask mask = poisonBitMask(r.poisonBit, icfp_.poisonBits);
         SliceEntry entry;
@@ -262,7 +232,7 @@ ICfpCore::tailLoad(const DynInst &di)
         rf0_.writePoisoned(di.dst, mask, seq);
         pending_.push(r.doneAt, mask);
         ++result_.slicedInsts;
-        return true;
+        return {};
     }
 
     // Ordinary (possibly slow) load: value comes from memory state, which
@@ -277,10 +247,10 @@ ICfpCore::tailLoad(const DynInst &di)
                                  fwd.excessHops));
     if (inEpoch_)
         sig_.insert(di.addr); // vulnerable to external stores (Section 3.3)
-    return true;
+    return {};
 }
 
-bool
+IssueStep
 ICfpCore::tailStore(const DynInst &di)
 {
     if (csb_.full()) {
@@ -289,14 +259,13 @@ ICfpCore::tailStore(const DynInst &di)
         }
         // Outside an epoch the buffer drains ahead of us (one store per
         // cycle); either way, poll again next cycle.
-        tailWake_ = cycle_ + 1;
-        return false;
+        return {IssueStep::Stalled, cycle_ + 1};
     }
     csb_.allocate(di.addr, di.storeValue(), 0, tailIdx_);
-    return true;
+    return {};
 }
 
-bool
+IssueStep
 ICfpCore::divertToSlice(const DynInst &di, PoisonMask poison)
 {
     ICFP_ASSERT(inEpoch_);
@@ -311,18 +280,15 @@ ICfpCore::divertToSlice(const DynInst &di, PoisonMask poison)
             // The tail waits until the address resolves; the stall is
             // re-counted every cycle, so idle-skip must stay off here.
             ++result_.poisonAddrStalls;
-            tailWake_ = cycle_ + 1;
-            return false;
+            return {IssueStep::Stalled, cycle_ + 1};
         }
         enterSimpleRunahead();
-        tailWake_ = cycle_ + 1;
-        return false;
+        return {IssueStep::Stalled, cycle_ + 1};
     }
 
     if (slice_.full() || (di.isStore() && csb_.full())) {
         enterSimpleRunahead();
-        tailWake_ = cycle_ + 1;
-        return false;
+        return {IssueStep::Stalled, cycle_ + 1};
     }
 
     SliceEntry entry;
@@ -364,80 +330,25 @@ ICfpCore::divertToSlice(const DynInst &di, PoisonMask poison)
 
     slice_.push(entry);
     ++result_.slicedInsts;
-    return true;
+    return {};
 }
 
 bool
 ICfpCore::tailIssueOne(const DynInst &di)
 {
-    const PoisonMask poison = inEpoch_ ? srcPoison(di) : PoisonMask{0};
-
-    if (poison != 0) {
-        // Miss-dependent: divert to the slice buffer. Non-poisoned side
-        // inputs must be value-ready to be captured at the latch.
-        const Cycle side_ready = srcReadyNonPoisoned(di);
-        if (side_ready > cycle_) {
-            tailWake_ = side_ready;
-            return false;
-        }
-        if (!slots_.available(FuClass::None)) {
-            tailWake_ = cycle_ + 1;
-            return false;
-        }
-        if (!divertToSlice(di, poison))
-            return false;
-        slots_.take(FuClass::None);
-        ++tailIdx_;
-        ++result_.advanceInsts;
-        return true;
-    }
-
-    // Miss-independent: normal in-order issue.
-    const Cycle src_ready = srcReadyCycle(di);
-    if (src_ready > cycle_) {
-        tailWake_ = src_ready;
+    // Miss-dependent instructions divert to the slice buffer; the rest
+    // issue in order.
+    const IssueStep step = issueOrDefer(
+        di, inEpoch_, rf0_, tailIdx_,
+        [&](const DynInst &inst, PoisonMask poison) {
+            return divertToSlice(inst, poison);
+        },
+        [&](const DynInst &ld) { return tailLoad(ld); },
+        [&](const DynInst &st) { return tailStore(st); });
+    if (step.outcome == IssueStep::Stalled) {
+        tailWake_ = step.wake;
         return false;
     }
-    const FuClass fu = fuClass(di.op);
-    if (!slots_.available(fu)) {
-        tailWake_ = cycle_ + 1;
-        return false;
-    }
-
-    switch (di.op) {
-      case Opcode::Ld:
-        if (!tailLoad(di))
-            return false;
-        break;
-      case Opcode::St:
-        if (!tailStore(di))
-            return false;
-        break;
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Jmp:
-      case Opcode::Call:
-      case Opcode::Ret: {
-        const BranchPrediction pred = bpred_.predict(di);
-        if (di.op == Opcode::Call) {
-            rf0_.write(di.dst, di.result(), tailIdx_);
-            setDstReady(di, cycle_ + 1);
-        }
-        resolveBranch(di, pred, cycle_);
-        break;
-      }
-      case Opcode::Nop:
-      case Opcode::Halt:
-        break;
-      default: { // ALU
-        rf0_.write(di.dst, di.result(), tailIdx_);
-        setDstReady(di, cycle_ + fuLatency(di.op));
-        break;
-      }
-    }
-
-    slots_.take(fu);
     ++tailIdx_;
     if (inEpoch_)
         ++result_.advanceInsts;
@@ -954,7 +865,6 @@ ICfpCore::run(const Trace &trace)
     drainWake_ = 0;
 
     while (tailIdx_ < traceLen_ || inEpoch_ || !csb_.empty()) {
-        ICFP_ASSERT(cycle_ < kMaxRunCycles);
 #ifdef ICFP_DEBUG_LOOP
         if (cycle_ % 1000000 == 999999) {
             std::fprintf(stderr,
@@ -985,18 +895,11 @@ ICfpCore::run(const Trace &trace)
         maybeEndEpoch();
 
         // Idle-cycle fast-forward: if every phase reported a no-op, the
-        // machine is frozen until the next time-driven event — jump the
-        // clock straight there instead of polling every cycle. Cycle
-        // counts (and therefore every figure) are exactly what per-cycle
-        // polling produces, because a cycle in which nothing happens
-        // leaves no trace other than the clock advancing.
+        // machine is frozen until the next time-driven event.
         const bool active = miss_returned || ext_stores || rally_busy ||
                             tailDidWork_ || drainDidWork_ ||
                             was_epoch != inEpoch_;
-        if (active)
-            ++cycle_;
-        else
-            cycle_ = std::max(cycle_ + 1, nextEventCycle());
+        advanceClock(active, active ? kCycleNever : nextEventCycle());
     }
 
     // Functional verification against the golden interpreter.

@@ -85,15 +85,11 @@ class ICfpCore : public CoreBase
     Cycle nextEventCycle() const;
 
     // --- tail helpers ------------------------------------------------------
-    /** Source poison union from RF0. */
-    PoisonMask srcPoison(const DynInst &di) const;
-    /** Readiness of non-poisoned sources only (poisoned ones divert). */
-    Cycle srcReadyNonPoisoned(const DynInst &di) const;
     /** @return false if the tail must stop issuing this cycle */
     bool tailIssueOne(const DynInst &di);
-    bool tailLoad(const DynInst &di);
-    bool tailStore(const DynInst &di);
-    bool divertToSlice(const DynInst &di, PoisonMask poison);
+    IssueStep tailLoad(const DynInst &di);
+    IssueStep tailStore(const DynInst &di);
+    IssueStep divertToSlice(const DynInst &di, PoisonMask poison);
 
     // --- rally helpers -----------------------------------------------------
     enum class RallyOutcome : uint8_t {

@@ -5,10 +5,6 @@
 
 namespace icfp {
 
-namespace {
-constexpr Cycle kMaxRunCycles = Cycle{1} << 36;
-} // namespace
-
 MultipassCore::MultipassCore(const CoreParams &core_params,
                              const MemParams &mem_params,
                              const MultipassParams &mp_params)
@@ -300,8 +296,34 @@ MultipassCore::run(const Trace &trace)
     uint64_t dbgAStarved = 0, dbgBWait = 0;
 #endif
 
+    // Normal mode's loads: a triggering miss un-blocks the pipeline by
+    // buffering everything after the load for the B-pipe, with the A-pipe
+    // running ahead.
+    auto load = [&](const DynInst &di) {
+        if (forwardFromBuffer(sb, di))
+            return IssueStep{};
+        const MemAccessResult r = mem_.load(di.addr, cycle_);
+        const bool trig =
+            (mp_.trigger == AdvanceTrigger::AnyDcache && r.missedDcache()) ||
+            (mp_.trigger == AdvanceTrigger::L2Only && r.missedL2());
+        ICFP_ASSERT(memory.read(di.addr) == di.result());
+        setDstReady(di, r.doneAt);
+        if (!trig)
+            return IssueStep{};
+        enterEpisode(idx + 1);
+        triggerReturnAt_ = r.doneAt;
+        if (di.dst != kNoReg && di.dst != 0) {
+            // The A-pipe advances past the miss by poisoning its result;
+            // the B-pipe waits for the real data.
+            poison_[di.dst] = true;
+            aReady_[di.dst] = cycle_;
+            bReady_[di.dst] = r.doneAt;
+        }
+        return IssueStep{IssueStep::ModeSwitch};
+    };
+    auto store = [&](const DynInst &di) { return storeToBuffer(sb, di); };
+
     while (idx < traceLen_ || inEpisode_) {
-        ICFP_ASSERT(cycle_ < kMaxRunCycles);
         slots_.reset();
         sb.drain(cycle_, &memory);
 
@@ -384,10 +406,7 @@ MultipassCore::run(const Trace &trace)
                     }
                 }
             }
-            if (did_work || wake == kCycleNever)
-                ++cycle_;
-            else
-                cycle_ = std::max(cycle_ + 1, wake);
+            advanceClock(did_work, wake);
             continue;
         }
 
@@ -395,98 +414,21 @@ MultipassCore::run(const Trace &trace)
         Cycle wake = kCycleNever;
         bool issued = false;
         while (idx < traceLen_ && slots_.used() < params_.issueWidth) {
-            const DynInst &di = trace[idx];
             if (cycle_ < fetchReadyAt_) {
                 wake = fetchReadyAt_;
                 break;
             }
-            const Cycle src_ready = srcReadyCycle(di);
-            if (src_ready > cycle_) {
-                wake = src_ready;
+            const IssueStep step = issueInOrder(trace[idx], load, store);
+            if (step.outcome == IssueStep::Stalled) {
+                wake = step.wake;
                 break;
             }
-            const FuClass fu = fuClass(di.op);
-            if (!slots_.available(fu)) {
-                wake = cycle_ + 1;
-                break;
-            }
-
-            bool entered = false;
-            switch (di.op) {
-              case Opcode::Ld: {
-                RegVal fwd;
-                if (sb.forward(di.addr, &fwd)) {
-                    ICFP_ASSERT(fwd == di.result());
-                    setDstReady(di, cycle_ + mem_.params().dcacheHitLatency);
-                    break;
-                }
-                const MemAccessResult r = mem_.load(di.addr, cycle_);
-                const bool trig =
-                    (mp_.trigger == AdvanceTrigger::AnyDcache &&
-                     r.missedDcache()) ||
-                    (mp_.trigger == AdvanceTrigger::L2Only && r.missedL2());
-                ICFP_ASSERT(memory.read(di.addr) == di.result());
-                setDstReady(di, r.doneAt);
-                if (trig) {
-                    // Un-block: buffer everything after the load and let
-                    // the B-pipe pick it up with the A-pipe running ahead.
-                    enterEpisode(idx + 1);
-                    triggerReturnAt_ = r.doneAt;
-                    if (di.dst != kNoReg && di.dst != 0) {
-                        // The A-pipe advances past the miss by poisoning
-                        // its result; the B-pipe waits for the real data.
-                        poison_[di.dst] = true;
-                        aReady_[di.dst] = cycle_;
-                        bReady_[di.dst] = r.doneAt;
-                    }
-                    entered = true;
-                }
-                break;
-              }
-              case Opcode::St: {
-                if (sb.full()) {
-                    const Cycle free_at =
-                        std::max(sb.headFreeAt(), cycle_ + 1);
-                    fetchReadyAt_ = std::max(fetchReadyAt_, free_at);
-                    wake = fetchReadyAt_;
-                    goto cycle_done;
-                }
-                const MemAccessResult r = mem_.store(di.addr, cycle_);
-                sb.push(di.addr, di.storeValue(), r.doneAt);
-                break;
-              }
-              case Opcode::Beq:
-              case Opcode::Bne:
-              case Opcode::Blt:
-              case Opcode::Jmp:
-              case Opcode::Call:
-              case Opcode::Ret: {
-                const BranchPrediction pred = bpred_.predict(di);
-                if (di.op == Opcode::Call)
-                    setDstReady(di, cycle_ + 1);
-                resolveBranch(di, pred, cycle_);
-                break;
-              }
-              case Opcode::Nop:
-              case Opcode::Halt:
-                break;
-              default:
-                setDstReady(di, cycle_ + fuLatency(di.op));
-                break;
-            }
-
-            slots_.take(fu);
             ++idx;
             issued = true;
-            if (entered)
-                break;
+            if (step.outcome == IssueStep::ModeSwitch)
+                break; // the episode has begun past this load
         }
-
-      cycle_done:
-        if (issued || wake == kCycleNever)
-            ++cycle_;
-        else
-            cycle_ = std::max(cycle_ + 1, wake);
+        advanceClock(issued, wake);
     }
 
     sb.flush(&memory);

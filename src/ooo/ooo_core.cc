@@ -310,7 +310,7 @@ OooCore::advanceClock(bool active)
     // An idle cycle changes no state but the clock, so jump straight to
     // the next cycle that can do work.
     const Cycle wake = active ? kCycleNever : nextEventCycle();
-    cycle_ = wake == kCycleNever ? cycle_ + 1 : std::max(cycle_ + 1, wake);
+    CoreBase::advanceClock(active, wake);
 }
 
 RunResult

@@ -5,10 +5,6 @@
 
 namespace icfp {
 
-namespace {
-constexpr Cycle kMaxRunCycles = Cycle{1} << 36;
-} // namespace
-
 RunaheadCore::RunaheadCore(const CoreParams &core_params,
                            const MemParams &mem_params,
                            const RunaheadParams &ra_params)
@@ -165,8 +161,31 @@ RunaheadCore::run(const Trace &trace)
     poison_.fill(false);
     inRunahead_ = false;
 
+    // Normal mode's loads: a triggering miss enters an episode at the
+    // load itself, which re-executes (and hits) when the episode ends.
+    auto load = [&](const DynInst &di) {
+        if (forwardFromBuffer(sb, di))
+            return IssueStep{};
+        const MemAccessResult r = mem_.load(di.addr, cycle_);
+        const bool trig =
+            (ra_.trigger == AdvanceTrigger::AnyDcache && r.missedDcache()) ||
+            (ra_.trigger == AdvanceTrigger::L2Only && r.missedL2());
+        if (!trig) {
+            ICFP_ASSERT(memory.read(di.addr) == di.result());
+            setDstReady(di, r.doneAt);
+            return IssueStep{};
+        }
+        enterRunahead(idx, r.doneAt);
+        ra_idx = idx + 1;
+        if (di.dst != kNoReg && di.dst != 0) {
+            poison_[di.dst] = true;
+            raReady_[di.dst] = cycle_;
+        }
+        return IssueStep{IssueStep::ModeSwitch};
+    };
+    auto store = [&](const DynInst &di) { return storeToBuffer(sb, di); };
+
     while (idx < traceLen_) {
-        ICFP_ASSERT(cycle_ < kMaxRunCycles);
         slots_.reset();
         sb.drain(cycle_, &memory);
 
@@ -201,10 +220,7 @@ RunaheadCore::run(const Trace &trace)
                 if (slots_.used() >= params_.issueWidth)
                     wake = std::min(wake, cycle_ + 1);
             }
-            if (advanced || wake == kCycleNever)
-                ++cycle_;
-            else
-                cycle_ = std::max(cycle_ + 1, wake);
+            advanceClock(advanced, wake);
             continue;
         }
 
@@ -212,94 +228,21 @@ RunaheadCore::run(const Trace &trace)
         Cycle wake = kCycleNever;
         bool issued = false;
         while (idx < traceLen_ && slots_.used() < params_.issueWidth) {
-            const DynInst &di = trace[idx];
             if (cycle_ < fetchReadyAt_) {
                 wake = fetchReadyAt_;
                 break;
             }
-            const Cycle src_ready = srcReadyCycle(di);
-            if (src_ready > cycle_) {
-                wake = src_ready;
+            const IssueStep step = issueInOrder(trace[idx], load, store);
+            if (step.outcome == IssueStep::Stalled) {
+                wake = step.wake;
                 break;
             }
-            const FuClass fu = fuClass(di.op);
-            if (!slots_.available(fu)) {
-                wake = cycle_ + 1;
-                break;
-            }
-
-            bool entered_ra = false;
-            switch (di.op) {
-              case Opcode::Ld: {
-                RegVal fwd;
-                if (sb.forward(di.addr, &fwd)) {
-                    ICFP_ASSERT(fwd == di.result());
-                    setDstReady(di, cycle_ + mem_.params().dcacheHitLatency);
-                    break;
-                }
-                const MemAccessResult r = mem_.load(di.addr, cycle_);
-                const bool trig =
-                    (ra_.trigger == AdvanceTrigger::AnyDcache &&
-                     r.missedDcache()) ||
-                    (ra_.trigger == AdvanceTrigger::L2Only && r.missedL2());
-                if (trig) {
-                    enterRunahead(idx, r.doneAt);
-                    ra_idx = idx + 1;
-                    if (di.dst != kNoReg && di.dst != 0) {
-                        poison_[di.dst] = true;
-                        raReady_[di.dst] = cycle_;
-                    }
-                    entered_ra = true;
-                } else {
-                    ICFP_ASSERT(memory.read(di.addr) == di.result());
-                    setDstReady(di, r.doneAt);
-                }
-                break;
-              }
-              case Opcode::St: {
-                if (sb.full()) {
-                    const Cycle free_at =
-                        std::max(sb.headFreeAt(), cycle_ + 1);
-                    fetchReadyAt_ = std::max(fetchReadyAt_, free_at);
-                    wake = fetchReadyAt_;
-                    goto cycle_done;
-                }
-                const MemAccessResult r = mem_.store(di.addr, cycle_);
-                sb.push(di.addr, di.storeValue(), r.doneAt);
-                break;
-              }
-              case Opcode::Beq:
-              case Opcode::Bne:
-              case Opcode::Blt:
-              case Opcode::Jmp:
-              case Opcode::Call:
-              case Opcode::Ret: {
-                const BranchPrediction pred = bpred_.predict(di);
-                if (di.op == Opcode::Call)
-                    setDstReady(di, cycle_ + 1);
-                resolveBranch(di, pred, cycle_);
-                break;
-              }
-              case Opcode::Nop:
-              case Opcode::Halt:
-                break;
-              default:
-                setDstReady(di, cycle_ + fuLatency(di.op));
-                break;
-            }
-
-            slots_.take(fu);
             issued = true;
-            if (entered_ra)
+            if (step.outcome == IssueStep::ModeSwitch)
                 break; // the pipeline is in advance mode now
             ++idx;
         }
-
-      cycle_done:
-        if (issued || wake == kCycleNever)
-            ++cycle_;
-        else
-            cycle_ = std::max(cycle_ + 1, wake);
+        advanceClock(issued, wake);
     }
 
     sb.flush(&memory);

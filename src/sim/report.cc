@@ -28,7 +28,12 @@ Table::addRow(const std::string &label, const std::vector<double> &cells,
     for (const double v : cells) {
         std::ostringstream os;
         os << std::fixed << std::setprecision(decimals) << v;
-        row.cells.push_back(os.str());
+        std::string cell = os.str();
+        // A value that rounds to zero prints unsigned, whatever its sign.
+        if (cell[0] == '-' &&
+            cell.find_first_not_of("0.", 1) == std::string::npos)
+            cell.erase(0, 1);
+        row.cells.push_back(std::move(cell));
     }
     rows_.push_back(std::move(row));
 }

@@ -5,10 +5,6 @@
 
 namespace icfp {
 
-namespace {
-constexpr Cycle kMaxRunCycles = Cycle{1} << 36;
-} // namespace
-
 SltpCore::SltpCore(const CoreParams &core_params, const MemParams &mem_params,
                    const SltpParams &sltp_params)
     : CoreBase("sltp", core_params, mem_params),
@@ -89,7 +85,7 @@ SltpCore::srlSearch(Addr addr, SeqNum load_seq) const
     return nullptr;
 }
 
-bool
+IssueStep
 SltpCore::tailLoad(const DynInst &di)
 {
     const SeqNum seq = tailIdx_;
@@ -98,15 +94,13 @@ SltpCore::tailLoad(const DynInst &di)
             ICFP_ASSERT(st->value == di.result());
             rf0_.write(di.dst, st->value, seq);
             setDstReady(di, cycle_ + mem_.params().dcacheHitLatency);
-            return true;
+            return {};
         }
         // Poison propagates from the miss-dependent store (idealized
         // dependence prediction).
         ICFP_ASSERT(inEpoch_);
-        if (slice_.full()) {
-            tailWake_ = cycle_ + 1;
-            return false; // SLTP stalls; no fallback mode
-        }
+        if (slice_.full()) // SLTP stalls; no fallback mode
+            return {IssueStep::Stalled, cycle_ + 1};
         SliceEntry entry;
         entry.traceIdx = static_cast<uint32_t>(tailIdx_);
         entry.seq = seq;
@@ -117,7 +111,7 @@ SltpCore::tailLoad(const DynInst &di)
         slice_.push(entry);
         rf0_.writePoisoned(di.dst, 1, seq);
         ++result_.slicedInsts;
-        return true;
+        return {};
     }
 
     const MemAccessResult r = mem_.load(di.addr, cycle_);
@@ -139,10 +133,8 @@ SltpCore::tailLoad(const DynInst &di)
 
     if (poison_it) {
         // Retrying re-runs the cache access, so no idle-skip here.
-        if (slice_.full()) {
-            tailWake_ = cycle_ + 1;
-            return false;
-        }
+        if (slice_.full())
+            return {IssueStep::Stalled, cycle_ + 1};
         SliceEntry entry;
         entry.traceIdx = static_cast<uint32_t>(tailIdx_);
         entry.seq = seq;
@@ -154,7 +146,7 @@ SltpCore::tailLoad(const DynInst &di)
         rf0_.writePoisoned(di.dst, 1, seq);
         pending_.push(r.doneAt, 1);
         ++result_.slicedInsts;
-        return true;
+        return {};
     }
 
     const RegVal value = memImage_.read(di.addr);
@@ -173,18 +165,19 @@ SltpCore::tailLoad(const DynInst &di)
     ICFP_ASSERT(value == di.result());
     rf0_.write(di.dst, value, seq);
     setDstReady(di, r.doneAt);
-    return true;
+    return {};
 }
 
-bool
+IssueStep
 SltpCore::divertToSlice(const DynInst &di, PoisonMask poison)
 {
     ICFP_ASSERT(inEpoch_);
     const SeqNum seq = tailIdx_;
 
+    // SLTP stalls when it runs out of buffering (state-driven: only a
+    // rally frees space).
     if (slice_.full() || (di.isStore() && srl_.size() >= sltp_.srlEntries))
-        return false; // SLTP stalls when it runs out of buffering
-                      // (state-driven: only a rally frees space)
+        return {IssueStep::Stalled};
 
     SliceEntry entry;
     entry.traceIdx = static_cast<uint32_t>(tailIdx_);
@@ -225,105 +218,49 @@ SltpCore::divertToSlice(const DynInst &di, PoisonMask poison)
 
     slice_.push(entry);
     ++result_.slicedInsts;
-    return true;
+    return {};
 }
 
 bool
 SltpCore::tailIssueOne(const DynInst &di)
 {
-    const PoisonMask poison = inEpoch_ ? [&] {
-        PoisonMask p = 0;
-        if (di.src1 != kNoReg)
-            p |= rf0_.poison(di.src1);
-        if (di.src2 != kNoReg)
-            p |= rf0_.poison(di.src2);
-        return p;
-    }() : PoisonMask{0};
-
-    if (poison != 0) {
-        Cycle ready = 0;
-        if (di.src1 != kNoReg && di.src1 != 0 && rf0_.poison(di.src1) == 0)
-            ready = std::max(ready, regReady_[di.src1]);
-        if (di.src2 != kNoReg && di.src2 != 0 && rf0_.poison(di.src2) == 0)
-            ready = std::max(ready, regReady_[di.src2]);
-        if (ready > cycle_) {
-            tailWake_ = ready;
-            return false;
-        }
-        if (!slots_.available(FuClass::None)) {
-            tailWake_ = cycle_ + 1;
-            return false;
-        }
-        if (!divertToSlice(di, poison))
-            return false;
-        slots_.take(FuClass::None);
-        ++tailIdx_;
-        ++result_.advanceInsts;
-        return true;
-    }
-
-    const Cycle src_ready = srcReadyCycle(di);
-    if (src_ready > cycle_) {
-        tailWake_ = src_ready;
+    const IssueStep step = issueOrDefer(
+        di, inEpoch_, rf0_, tailIdx_,
+        [&](const DynInst &inst, PoisonMask poison) {
+            return divertToSlice(inst, poison);
+        },
+        [&](const DynInst &ld) { return tailLoad(ld); },
+        [&](const DynInst &st) { return tailStore(st); });
+    if (step.outcome == IssueStep::Stalled) {
+        tailWake_ = step.wake;
         return false;
     }
-    const FuClass fu = fuClass(di.op);
-    if (!slots_.available(fu)) {
-        tailWake_ = cycle_ + 1;
-        return false;
-    }
-
-    switch (di.op) {
-      case Opcode::Ld:
-        if (!tailLoad(di))
-            return false;
-        break;
-      case Opcode::St: {
-        if (srl_.size() >= sltp_.srlEntries)
-            return false; // state-driven: only a rally frees SRL space
-        SrlEntry entry;
-        entry.addr = di.addr;
-        entry.value = di.storeValue();
-        entry.seq = tailIdx_;
-        entry.poisoned = false;
-        if (inEpoch_) {
-            // Speculative write into the D$ so miss-independent loads can
-            // forward through the cache; the line is pinned.
-            mem_.store(di.addr, cycle_);
-            mem_.dcache().setPinned(di.addr, true);
-            entry.specWritten = true;
-        }
-        srl_.push_back(entry);
-        break;
-      }
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Jmp:
-      case Opcode::Call:
-      case Opcode::Ret: {
-        const BranchPrediction pred = bpred_.predict(di);
-        if (di.op == Opcode::Call) {
-            rf0_.write(di.dst, di.result(), tailIdx_);
-            setDstReady(di, cycle_ + 1);
-        }
-        resolveBranch(di, pred, cycle_);
-        break;
-      }
-      case Opcode::Nop:
-      case Opcode::Halt:
-        break;
-      default:
-        rf0_.write(di.dst, di.result(), tailIdx_);
-        setDstReady(di, cycle_ + fuLatency(di.op));
-        break;
-    }
-
-    slots_.take(fu);
     ++tailIdx_;
     if (inEpoch_)
         ++result_.advanceInsts;
     return true;
+}
+
+IssueStep
+SltpCore::tailStore(const DynInst &di)
+{
+    // A full SRL is a state-driven stall: only a rally frees space.
+    if (srl_.size() >= sltp_.srlEntries)
+        return {IssueStep::Stalled};
+    SrlEntry entry;
+    entry.addr = di.addr;
+    entry.value = di.storeValue();
+    entry.seq = tailIdx_;
+    entry.poisoned = false;
+    if (inEpoch_) {
+        // Speculative write into the D$ so miss-independent loads can
+        // forward through the cache; the line is pinned.
+        mem_.store(di.addr, cycle_);
+        mem_.dcache().setPinned(di.addr, true);
+        entry.specWritten = true;
+    }
+    srl_.push_back(entry);
+    return {};
 }
 
 void
@@ -494,7 +431,6 @@ SltpCore::run(const Trace &trace)
     rallyBlockedUntil_ = 0;
 
     while (tailIdx_ < traceLen_ || inEpoch_ || !srl_.empty()) {
-        ICFP_ASSERT(cycle_ < kMaxRunCycles);
         slots_.reset();
 
         bool did_work = false;
@@ -550,13 +486,7 @@ SltpCore::run(const Trace &trace)
                 wake = std::min(wake, pending_.nextFillAt());
         }
 
-        // Idle-cycle fast-forward (exact: an idle cycle leaves no trace
-        // but the clock, so jumping to the next possible event preserves
-        // every cycle count and counter).
-        if (did_work || wake == kCycleNever)
-            ++cycle_;
-        else
-            cycle_ = std::max(cycle_ + 1, wake);
+        advanceClock(did_work, wake);
     }
 
     ICFP_ASSERT(!rf0_.anyPoisoned());

@@ -63,8 +63,9 @@ class SltpCore : public CoreBase
     void squash();
 
     bool tailIssueOne(const DynInst &di);
-    bool tailLoad(const DynInst &di);
-    bool divertToSlice(const DynInst &di, PoisonMask poison);
+    IssueStep tailLoad(const DynInst &di);
+    IssueStep tailStore(const DynInst &di);
+    IssueStep divertToSlice(const DynInst &di, PoisonMask poison);
     void rallyTick();
 
     /** Oracle SRL search: youngest older store matching @p addr. */

@@ -14,7 +14,10 @@
 #include "isa/program.hh"
 #include "multipass/multipass_core.hh"
 #include "runahead/runahead_core.hh"
+#include "sim/simulator.hh"
 #include "sltp/sltp_core.hh"
+#include "workloads/nonspec_suites.hh"
+#include "workloads/suite_registry.hh"
 
 namespace icfp {
 namespace {
@@ -260,6 +263,41 @@ TEST(Ordering, AllSchemesBeatInOrderOnIndependentMisses)
     EXPECT_LT(mp.run(t).cycles, c_base);
     EXPECT_LT(sltp.run(t).cycles, c_base);
     EXPECT_LT(icfp_core.run(t).cycles, c_base);
+}
+
+TEST(SharedPipeline, NeverAdvancingSchemesAreTheInOrderBaseline)
+{
+    // Runahead and Multipass run the baseline's in-order pipeline between
+    // episodes, so with no trigger they must be the baseline cycle for
+    // cycle. (SLTP is left out on purpose: its tail stores go through the
+    // SRL, not the baseline store buffer.)
+    SimConfig cfg;
+    cfg.runahead.trigger = AdvanceTrigger::None;
+    cfg.multipass.trigger = AdvanceTrigger::None;
+    for (const char *suite : {kDefaultSuiteName, kNonspecSuiteName}) {
+        for (const BenchmarkSpec &spec : findSuite(suite)) {
+            const Trace trace = makeBenchTrace(spec, 20000);
+            const RunResult base = simulate(CoreKind::InOrder, cfg, trace);
+            for (const CoreKind kind :
+                 {CoreKind::Runahead, CoreKind::Multipass}) {
+                const RunResult r = simulate(kind, cfg, trace);
+                const std::string what = spec.name + " on " + r.core;
+                EXPECT_EQ(r.cycles, base.cycles) << what;
+                EXPECT_EQ(r.mem.dcacheMisses, base.mem.dcacheMisses) << what;
+                EXPECT_EQ(r.mem.l2Misses, base.mem.l2Misses) << what;
+                EXPECT_EQ(r.mem.prefetchHits, base.mem.prefetchHits) << what;
+                EXPECT_EQ(r.dcacheMlp, base.dcacheMlp) << what;
+                EXPECT_EQ(r.l2Mlp, base.l2Mlp) << what;
+                EXPECT_EQ(r.branch.condMispredicts,
+                          base.branch.condMispredicts)
+                    << what;
+                EXPECT_EQ(r.branch.indirectMispredicts,
+                          base.branch.indirectMispredicts)
+                    << what;
+                EXPECT_EQ(r.advanceEntries, 0u) << what;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -283,6 +283,12 @@ TEST_F(CliTest, BadValuesExitOneWithoutASignal)
         {"run", "--insts", "200", "--trigger", "bogus"},
         {"run", "--insts", "200", "--trigger", "l2|any"},
         {"compare", "--insts", "200", "--jobs", "4294967296"},
+        // A zero budget simulates nothing, whichever verb gets it.
+        {"compare", "--bench", "mcf", "--insts", "0"},
+        {"run", "--bench", "mcf", "--insts", "0"},
+        {"suite", "--core", "icfp", "--insts", "0"},
+        {"sweep", "--benches", "mcf", "--insts", "0"},
+        {"figure", "fig5_speedup", "--insts", "0"},
     };
     for (const Args &args : cases)
         expectRefused(args, "bad " + args[args.size() - 2]);
@@ -345,8 +351,6 @@ TEST_F(CliTest, FigureVerbPrintsTablesOrTheirGrid)
         expectRefused(args, " area_overheads\n");
     }
     expectRefused({"figure", "fig9"}, "unknown figure 'fig9'");
-    expectRefused({"figure", "fig5_speedup", "--insts", "0"},
-                  "--insts must be at least 1");
 
     expectAccepted({"figure", "fig8_store_buffer", "--insts", "2000",
                     "--format", "csv", "--out", "fig8.csv"});

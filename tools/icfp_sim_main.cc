@@ -221,8 +221,9 @@ const OptionSpec kOptions[] = {
     {"--core", Kind::Text, &Options::core, kRun | kSuite, "C"},
     {"--suite", Kind::Text, &Options::suite,
      kList | kEngine | kPerf | kSubmit, "S"},
+    // 0 simulates nothing, and compare and figure divide by cycles.
     {"--insts", Kind::Uint, &Options::insts,
-     kOneTrace | kEngine | kPerf | kSubmit | kFigure, "N"},
+     kOneTrace | kEngine | kPerf | kSubmit | kFigure, "N", 1},
     {"--seed", Kind::Uint, &Options::seed, kOneTrace | kEngine | kSubmit,
      "S"},
     {"--l2-lat", Kind::Uint, &Options::l2Latency, kConfigured, "N", 0, kU64,
@@ -786,11 +787,6 @@ cmdFigure(const Options &opt)
         for (const Figure &figure : figures())
             names += std::string(names.empty() ? "" : " ") + figure.name;
         std::fprintf(stderr, "figure: figures are: %s\n", names.c_str());
-        return 1;
-    }
-    if (opt.insts == 0) {
-        // Every figure divides by its runs' cycle counts.
-        std::fprintf(stderr, "figure: --insts must be at least 1\n");
         return 1;
     }
     if (!outWritable(opt))
