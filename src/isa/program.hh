@@ -7,10 +7,7 @@
 #ifndef ICFP_ISA_PROGRAM_HH
 #define ICFP_ISA_PROGRAM_HH
 
-#include <cstdlib>
-#include <new>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -21,70 +18,130 @@
 namespace icfp {
 
 /**
- * Allocator for MemoryImage words. Storage comes from calloc, so it is
- * already zero and value-initialisation is a no-op: a large image is a
- * fresh anonymous mapping whose pages are faulted in only when written.
- * Only sound for storage that is never shrunk and regrown in place
- * (the regrown tail would keep stale words) — MemoryImage::resize
- * always allocates afresh.
+ * A memory difference: (word address, value) pairs sorted by strictly
+ * ascending address, naming every word that differs from a base image.
  */
-template <typename T>
-struct ZeroedAllocator
+using MemDelta = std::vector<std::pair<Addr, RegVal>>;
+
+/**
+ * Flat open-addressing map from word address to word value: the one
+ * representation of MemoryImage's words and MemOverlay's stores.
+ *
+ * Slots hold {address + 1, value}, so a zero key marks an empty slot.
+ * The slot count is a power of two (at least 256 once anything is
+ * stored), kept at least twice the entry count; a multiplicative hash
+ * picks the first slot and collisions probe linearly. Entries are never
+ * removed. Lookups are pure const reads, so one table may be read from
+ * many threads at once.
+ */
+class WordTable
 {
-    using value_type = T;
+  public:
+    WordTable() = default;
+    WordTable(const WordTable &) = default;
+    WordTable &operator=(const WordTable &) = default;
 
-    ZeroedAllocator() = default;
-
-    template <typename U>
-    ZeroedAllocator(const ZeroedAllocator<U> &)
+    /** A moved-from table is empty, its entry count included. */
+    WordTable(WordTable &&other) noexcept
+        : slots_(std::move(other.slots_)),
+          used_(std::exchange(other.used_, 0)),
+          shift_(other.shift_)
     {}
 
-    T *
-    allocate(size_t n)
+    WordTable &
+    operator=(WordTable &&other) noexcept
     {
-        void *p = std::calloc(n, sizeof(T));
-        if (!p)
-            throw std::bad_alloc();
-        return static_cast<T *>(p);
+        slots_ = std::move(other.slots_);
+        other.slots_.clear();
+        used_ = std::exchange(other.used_, 0);
+        shift_ = other.shift_;
+        return *this;
     }
 
-    void deallocate(T *p, size_t) { std::free(p); }
+    /** The value stored for @p addr, or nullptr if there is none. */
+    const RegVal *
+    find(Addr addr) const
+    {
+        if (slots_.empty())
+            return nullptr;
+        const size_t mask = slots_.size() - 1;
+        for (size_t i = slotOf(addr);; i = (i + 1) & mask) {
+            const Slot &slot = slots_[i];
+            if (slot.key == addr + 1)
+                return &slot.value;
+            if (slot.key == 0)
+                return nullptr;
+        }
+    }
 
-    /** Value-initialisation: calloc already zeroed the word. */
-    template <typename U>
+    /** The value stored for @p addr, inserting a zero if there is none. */
+    RegVal &
+    operator[](Addr addr)
+    {
+        if ((used_ + 1) * 2 > slots_.size())
+            grow();
+        const size_t mask = slots_.size() - 1;
+        for (size_t i = slotOf(addr);; i = (i + 1) & mask) {
+            Slot &slot = slots_[i];
+            if (slot.key == addr + 1)
+                return slot.value;
+            if (slot.key == 0) {
+                slot.key = addr + 1;
+                ++used_;
+                return slot.value;
+            }
+        }
+    }
+
+    /** Forget every entry, keeping the slots for reuse. */
+    void clear();
+
+    /** Call @p f(addr, value) for every entry, in slot order. */
+    template <typename F>
     void
-    construct(U *)
-    {}
-
-    template <typename U, typename... Args>
-    void
-    construct(U *p, Args &&...args)
+    forEach(F f) const
     {
-        ::new (static_cast<void *>(p)) U(std::forward<Args>(args)...);
+        for (const Slot &slot : slots_) {
+            if (slot.key != 0)
+                f(slot.key - 1, slot.value);
+        }
     }
 
-    template <typename U>
-    bool
-    operator==(const ZeroedAllocator<U> &) const
+    size_t size() const { return used_; }
+
+  private:
+    struct Slot
     {
-        return true;
+        Addr key = 0; ///< word address + 1; 0 when empty
+        RegVal value = 0;
+    };
+
+    size_t
+    slotOf(Addr addr) const
+    {
+        return static_cast<size_t>((addr * 0x9e3779b97f4a7c15ull) >> shift_);
     }
+
+    /** Double the slots (256 from empty) and reinsert every entry. */
+    void grow();
+
+    std::vector<Slot> slots_;
+    size_t used_ = 0;
+    unsigned shift_ = 64; ///< 64 - log2(slot count)
 };
 
 /**
- * Flat byte-addressed data memory, accessed at 8-byte word granularity.
+ * Byte-addressed data memory, accessed at 8-byte word granularity.
  *
  * The size is a power of two; effective addresses are wrapped into the
  * segment and aligned down to a word, so every program is memory-safe by
- * construction. Words start zeroed without being written (see
- * ZeroedAllocator), so a multi-megabyte image costs resident memory
- * only for the pages its workload initialises.
+ * construction. Only the words ever written non-zero are stored, in a
+ * WordTable, and every other word reads 0: a workload's 64 MB data
+ * segment costs memory for its ~40k initialised words, not its size.
  */
 class MemoryImage
 {
   public:
-    using Words = std::vector<RegVal, ZeroedAllocator<RegVal>>;
-
     MemoryImage() = default;
 
     explicit MemoryImage(size_t size_bytes) { resize(size_bytes); }
@@ -98,11 +155,11 @@ class MemoryImage
     {
         ICFP_ASSERT(size_bytes >= kWordBytes);
         ICFP_ASSERT((size_bytes & (size_bytes - 1)) == 0);
-        words_ = Words(size_bytes / kWordBytes);
+        words_ = WordTable();
         mask_ = size_bytes - 1;
     }
 
-    size_t sizeBytes() const { return words_.size() * kWordBytes; }
+    size_t sizeBytes() const { return mask_ ? mask_ + 1 : 0; }
 
     /** Wrap an arbitrary 64-bit EA into the segment, word-aligned. */
     Addr
@@ -111,39 +168,46 @@ class MemoryImage
         return (addr & mask_) & ~Addr{kWordBytes - 1};
     }
 
-    RegVal read(Addr addr) const { return words_[wrap(addr) / kWordBytes]; }
+    RegVal
+    read(Addr addr) const
+    {
+        const RegVal *value = words_.find(wrap(addr));
+        return value ? *value : 0;
+    }
 
+    /** Store @p value; a zero over a word never written stores nothing. */
     void
     write(Addr addr, RegVal value)
     {
-        words_[wrap(addr) / kWordBytes] = value;
+        const Addr word = wrap(addr);
+        if (value != 0 || words_.find(word))
+            words_[word] = value;
     }
 
-    /** Raw word storage (bulk scans and storage-identity checks). */
-    const Words &words() const { return words_; }
+    /** The words that read non-zero, as a delta against all zeroes. */
+    MemDelta nonZeroWords() const;
 
-    bool operator==(const MemoryImage &other) const = default;
+    bool
+    operator==(const MemoryImage &other) const
+    {
+        return mask_ == other.mask_ && nonZeroWords() == other.nonZeroWords();
+    }
 
   private:
-    Words words_;
+    WordTable words_;
     Addr mask_ = 0;
 };
 
 /**
- * A memory difference: (word address, value) pairs sorted by strictly
- * ascending address, naming every word that differs from a base image.
- */
-using MemDelta = std::vector<std::pair<Addr, RegVal>>;
-
-/**
  * Copy-on-write view over a base MemoryImage.
  *
- * The base stays read-only and shared; the overlay keeps only the words
- * stored through it. The golden interpreter runs on one to produce a
- * trace's final memory as a delta (Trace::finalDelta), and every timing
- * core runs on one and ends with delta() == trace.finalDelta. Two views
- * over the same base are equal exactly when their deltas are, so that
- * check is as strong as comparing whole images, at O(stored words).
+ * The base stays read-only and shared; the overlay keeps every word
+ * stored through it, zeroes included, in its own WordTable. The golden
+ * interpreter runs on one to produce a trace's final memory as a delta
+ * (Trace::finalDelta), and every timing core runs on one and ends with
+ * delta() == trace.finalDelta. Two views over the same base are equal
+ * exactly when their deltas are, so that check is as strong as
+ * comparing whole images, at O(stored words).
  */
 class MemOverlay
 {
@@ -165,8 +229,8 @@ class MemOverlay
     RegVal
     read(Addr addr) const
     {
-        const auto it = writes_.find(base_->wrap(addr));
-        return it != writes_.end() ? it->second : base_->read(addr);
+        const RegVal *value = writes_.find(base_->wrap(addr));
+        return value ? *value : base_->read(addr);
     }
 
     void
@@ -183,7 +247,7 @@ class MemOverlay
 
   private:
     const MemoryImage *base_ = nullptr;
-    std::unordered_map<Addr, RegVal> writes_;
+    WordTable writes_;
 };
 
 /** A static program: code plus initial data segment. */

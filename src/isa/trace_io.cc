@@ -5,7 +5,6 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
-#include <new>
 #include <ostream>
 #include <string>
 #include <string_view>
@@ -154,19 +153,6 @@ checkedOpcode(uint8_t op)
     return static_cast<Opcode>(op);
 }
 
-/** The non-zero words of @p mem: the image as a delta against zeroes. */
-MemDelta
-nonZeroWords(const MemoryImage &mem)
-{
-    MemDelta out;
-    const MemoryImage::Words &words = mem.words();
-    for (size_t i = 0; i < words.size(); ++i) {
-        if (words[i] != 0)
-            out.emplace_back(i * kWordBytes, words[i]);
-    }
-    return out;
-}
-
 /** Count + ascending (word address, value) pairs. */
 void
 writeWordPairs(Writer &w, const MemDelta &pairs)
@@ -224,12 +210,13 @@ decodeWordPairs(WordPairs pairs, uint64_t image_bytes, const char *what,
     }
 }
 
-/** Image size, then its non-zero words as a pair list. */
+/** Image size, then its non-zero words as a pair list: the image's
+ *  own table entries, sorted. */
 void
-writeMemoryImage(Writer &w, const MemoryImage &mem, const MemDelta &nonzero)
+writeMemoryImage(Writer &w, const MemoryImage &mem)
 {
     w.u64(mem.sizeBytes());
-    writeWordPairs(w, nonzero);
+    writeWordPairs(w, mem.nonZeroWords());
 }
 
 MemoryImage
@@ -241,16 +228,9 @@ readMemoryImage(Reader &r)
         ICFP_FATAL("trace stream corrupt: bad memory image size");
     }
     const WordPairs pairs = takeWordPairs(r, bytes, "memory image");
-    // The size is untrusted and no longer backed by stream bytes: an
-    // image the host cannot map is a decode error, not a crash.
-    MemoryImage mem;
-    try {
-        mem.resize(bytes);
-    } catch (const std::bad_alloc &) {
-        ICFP_FATAL("trace stream corrupt: memory image too large");
-    }
-    // The image starts zeroed; writing only the non-zero words leaves
-    // the pages a workload never initialised unfaulted.
+    // A sparse image allocates nothing for its size: only the stored
+    // pairs take memory, and their bytes are already in the stream.
+    MemoryImage mem(bytes);
     decodeWordPairs(
         pairs, bytes, "memory image", [](Addr) { return RegVal{0}; },
         [&](Addr addr, RegVal value) { mem.write(addr, value); });
@@ -258,7 +238,7 @@ readMemoryImage(Reader &r)
 }
 
 void
-writeProgramBody(Writer &w, const Program &program, const MemDelta &nonzero)
+writeProgramBody(Writer &w, const Program &program)
 {
     w.str(program.name);
     w.u32(static_cast<uint32_t>(program.code.size()));
@@ -271,7 +251,7 @@ writeProgramBody(Writer &w, const Program &program, const MemDelta &nonzero)
         at = put(at, inst.imm);
         at = put(at, inst.target);
     }
-    writeMemoryImage(w, program.initialMemory, nonzero);
+    writeMemoryImage(w, program.initialMemory);
 }
 
 Program
@@ -324,11 +304,10 @@ readRest(std::istream &is)
 void
 writeProgram(std::ostream &os, const Program &program)
 {
-    const MemDelta nonzero = nonZeroWords(program.initialMemory);
     std::string out;
     Writer w(out);
     w.raw(kProgMagic, sizeof(kProgMagic));
-    writeProgramBody(w, program, nonzero);
+    writeProgramBody(w, program);
     os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
@@ -346,10 +325,9 @@ writeTrace(std::string &out, const Trace &trace)
 {
     ICFP_ASSERT(trace.program != nullptr);
     const Program &program = *trace.program;
-    const MemDelta nonzero = nonZeroWords(program.initialMemory);
     Writer w(out);
     w.raw(kMagic, sizeof(kMagic));
-    writeProgramBody(w, program, nonzero);
+    writeProgramBody(w, program);
 
     w.u64(trace.insts.size());
     char *at = w.grow(trace.insts.size() * kDynInstRecordBytes);

@@ -14,6 +14,7 @@
 #ifndef ICFP_MEM_MSHR_HH
 #define ICFP_MEM_MSHR_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -88,6 +89,7 @@ class MshrFile
         entry.poisonBit = nextPoisonBit_;
         nextPoisonBit_ = (nextPoisonBit_ + 1) % poisonBits_;
         inflight_.push_back(entry);
+        earliest_ = std::min(earliest_, fill_at);
         result.allocated = true;
         result.fillAt = fill_at;
         result.poisonBit = entry.poisonBit;
@@ -95,14 +97,7 @@ class MshrFile
     }
 
     /** Earliest in-flight completion, or kCycleNever if none. */
-    Cycle
-    earliestFill() const
-    {
-        Cycle earliest = kCycleNever;
-        for (const Entry &entry : inflight_)
-            earliest = std::min(earliest, entry.fillAt);
-        return earliest;
-    }
+    Cycle earliestFill() const { return earliest_; }
 
     size_t outstanding(Cycle now) const
     {
@@ -114,6 +109,7 @@ class MshrFile
     clear()
     {
         inflight_.clear();
+        earliest_ = kCycleNever;
     }
 
   private:
@@ -126,21 +122,29 @@ class MshrFile
 
     /** Drop entries whose fills have completed (order-free swap-pop;
      *  entry order never affects results — lines are unique and every
-     *  query is a find/min/count). */
+     *  query is a find/min/count). Nothing can retire before the
+     *  earliest fill, so until then this returns without a scan. */
     void
     retireBefore(Cycle now) const
     {
+        if (now < earliest_)
+            return;
+        Cycle earliest = kCycleNever;
         for (size_t i = 0; i < inflight_.size();) {
             if (inflight_[i].fillAt <= now) {
                 inflight_[i] = inflight_.back();
                 inflight_.pop_back();
             } else {
+                earliest = std::min(earliest, inflight_[i].fillAt);
                 ++i;
             }
         }
+        earliest_ = earliest;
     }
 
     mutable std::vector<Entry> inflight_;
+    /** Smallest fillAt in inflight_, or kCycleNever when it is empty. */
+    mutable Cycle earliest_ = kCycleNever;
     unsigned numEntries_;
     unsigned poisonBits_;
     unsigned nextPoisonBit_ = 0;

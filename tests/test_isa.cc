@@ -48,21 +48,75 @@ residentBytes()
 }
 #endif
 
-TEST(MemoryImage, LargeImageStartsUnfaulted)
+TEST(MemoryImage, LargeSparseImageCostsItsWordsNotItsSize)
 {
 #if defined(__SANITIZE_ADDRESS__)
     GTEST_SKIP() << "ASan's allocator may touch fresh pages";
 #elif !defined(__linux__)
     GTEST_SKIP() << "reads /proc/self/statm";
 #else
-    // Zeroing a 64 MiB image eagerly would fault in all of it.
+    // A workload-shaped image: 40k non-zero words scattered over all of
+    // 64 MiB, one every ~1.6 KB. A dense image would fault in every page.
     const size_t before = residentBytes();
     ASSERT_GT(before, 0u);
-    MemoryImage mem(size_t{64} << 20);
+    constexpr size_t kBytes = size_t{64} << 20, kWords = 40000,
+                     kStride = 1672;
+    MemoryImage mem(kBytes);
+    for (size_t i = 0; i < kWords; ++i)
+        mem.write(i * kStride, i + 1);
     const size_t after = residentBytes();
-    EXPECT_LT(after - std::min(after, before), size_t{1} << 20);
-    EXPECT_EQ(mem.read((size_t{64} << 20) - kWordBytes), 0u);
+    EXPECT_LT(after - std::min(after, before), size_t{8} << 20);
+    EXPECT_EQ(mem.nonZeroWords().size(), kWords);
+    EXPECT_EQ(mem.read((kWords - 1) * kStride), kWords);
+    EXPECT_EQ(mem.read(kBytes - kWordBytes), 0u);
 #endif
+}
+
+TEST(MemoryImage, AbsentWordsReadZeroAndStoreNothing)
+{
+    MemoryImage mem(4096);
+    EXPECT_EQ(mem.read(0), 0u);
+    EXPECT_EQ(mem.read(4088), 0u);
+    mem.write(64, 0);
+    EXPECT_TRUE(mem.nonZeroWords().empty());
+    mem.write(64, 5);
+    mem.write(64, 0); // a zero over a stored word reads back as zero
+    EXPECT_EQ(mem.read(64), 0u);
+    EXPECT_TRUE(mem.nonZeroWords().empty());
+    EXPECT_TRUE(mem == MemoryImage(4096));
+}
+
+TEST(MemoryImage, WriteOrderDoesNotMatter)
+{
+    // Enough words to grow the table past its first size.
+    MemoryImage a(size_t{1} << 20), b(size_t{1} << 20);
+    for (Addr i = 0; i < 1000; ++i)
+        a.write(i * 24, i + 7);
+    for (Addr i = 1000; i-- > 0;)
+        b.write(i * 24, i + 7);
+    EXPECT_TRUE(a == b);
+    const MemDelta words = a.nonZeroWords();
+    ASSERT_EQ(words.size(), 1000u);
+    EXPECT_TRUE(std::is_sorted(words.begin(), words.end()));
+    EXPECT_EQ(words.back(), (std::pair<Addr, RegVal>{999 * 24, 1006}));
+    b.write(24, 0);
+    EXPECT_FALSE(a == b);
+}
+
+TEST(MemOverlay, DeltaKeepsStoredZeroesAndDropsRestoredWords)
+{
+    MemoryImage base(1024);
+    base.write(8, 11);
+    base.write(16, 22);
+    MemOverlay view(&base);
+    view.write(8, 0);   // a zero over a non-zero base word is a change
+    view.write(16, 33);
+    view.write(16, 22); // stored back to its base value: no change
+    view.write(24, 0);  // a zero over an absent word: no change
+    EXPECT_EQ(view.read(8), 0u);
+    EXPECT_EQ(view.read(16), 22u);
+    EXPECT_EQ(view.delta(), (MemDelta{{8, 0}}));
+    EXPECT_EQ(base.read(8), 11u); // the base is never written
 }
 
 TEST(MemoryImage, ReadWriteRoundTrip)
@@ -271,10 +325,9 @@ TEST(ProgramBuilder, BuildMovesTheImageOut)
     ProgramBuilder b(4096);
     b.poke(8, 42);
     b.halt();
-    const RegVal *storage = b.memory().words().data();
     const Program p = std::move(b).build();
-    EXPECT_EQ(p.initialMemory.words().data(), storage);
-    EXPECT_EQ(p.initialMemory.read(8), 42u);
+    EXPECT_TRUE(b.memory().nonZeroWords().empty()); // moved, not copied
+    EXPECT_EQ(p.initialMemory.nonZeroWords(), (MemDelta{{8, 42}}));
 }
 
 } // namespace

@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hh"
+
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/main_memory.hh"
@@ -172,6 +177,93 @@ TEST(Mshr, CapacityAndRoundRobinBits)
     const MshrResult c = mshrs.allocate(0x300, 0, 100);
     EXPECT_TRUE(c.full);
     EXPECT_EQ(mshrs.earliestFill(), 100u);
+}
+
+TEST(Mshr, CachedEarliestMatchesScan)
+{
+    // A brute-force file that scans on every call, driven by the same
+    // seeded calls at non-monotonic times (a core's retries and slice
+    // re-executions do not ask in time order).
+    struct Ref
+    {
+        Addr line;
+        Cycle fillAt;
+        unsigned poisonBit;
+    };
+    std::vector<Ref> ref;
+    unsigned next_bit = 0;
+    auto retire = [&](Cycle now) {
+        std::erase_if(ref, [&](const Ref &e) { return e.fillAt <= now; });
+    };
+    auto find = [&](Addr line) {
+        return std::find_if(ref.begin(), ref.end(),
+                            [&](const Ref &e) { return e.line == line; });
+    };
+
+    constexpr unsigned kEntries = 8, kBits = 4;
+    MshrFile mshrs(kEntries, kBits);
+    Rng rng(25);
+    for (int step = 0; step < 20000; ++step) {
+        SCOPED_TRACE(step);
+        const Cycle now = rng.below(400);
+        const Addr line = rng.below(16) * 64;
+        switch (rng.below(10)) {
+          case 0:
+          case 1:
+          case 2: {
+            retire(now);
+            MshrResult got;
+            const bool merged = mshrs.lookup(line, now, &got);
+            const auto it = find(line);
+            ASSERT_EQ(merged, it != ref.end());
+            if (merged) {
+                EXPECT_EQ(got.fillAt, it->fillAt);
+                EXPECT_EQ(got.poisonBit, it->poisonBit);
+            }
+            break;
+          }
+          case 3:
+          case 4:
+          case 5: {
+            // allocate's precondition, checked as a core does; the
+            // lookup also retires, so the two files stay in step.
+            retire(now);
+            MshrResult merged;
+            ASSERT_EQ(mshrs.lookup(line, now, &merged),
+                      find(line) != ref.end());
+            if (merged.merged)
+                break;
+            const Cycle fill = now + 1 + rng.below(200);
+            const MshrResult got = mshrs.allocate(line, now, fill);
+            ASSERT_EQ(got.full, ref.size() >= kEntries);
+            if (!got.full) {
+                EXPECT_EQ(got.fillAt, fill);
+                EXPECT_EQ(got.poisonBit, next_bit);
+                ref.push_back({line, fill, next_bit});
+                next_bit = (next_bit + 1) % kBits;
+            }
+            break;
+          }
+          case 6:
+          case 7:
+            retire(now);
+            ASSERT_EQ(mshrs.outstanding(now), ref.size());
+            break;
+          case 8: {
+            Cycle earliest = kCycleNever;
+            for (const Ref &e : ref)
+                earliest = std::min(earliest, e.fillAt);
+            ASSERT_EQ(mshrs.earliestFill(), earliest);
+            break;
+          }
+          default:
+            if (rng.below(50) == 0) {
+                mshrs.clear();
+                ref.clear();
+            }
+            break;
+        }
+    }
 }
 
 // ---- MainMemory ------------------------------------------------------------

@@ -7,6 +7,9 @@
 #ifndef ICFP_TESTS_TRACE_ORACLE_HH
 #define ICFP_TESTS_TRACE_ORACLE_HH
 
+#include <algorithm>
+#include <vector>
+
 #include "isa/interpreter.hh"
 
 namespace icfp {
@@ -14,7 +17,7 @@ namespace icfp {
 /**
  * The final-memory delta rebuilt without MemOverlay: apply the trace's
  * own St records, in order, to a full copy of the initial image, then
- * scan the whole image for words that differ.
+ * compare every word either image holds non-zero.
  */
 inline MemDelta
 storeReplayDelta(const Trace &trace)
@@ -25,12 +28,18 @@ storeReplayDelta(const Trace &trace)
         if (di.isStore())
             final_image.write(di.addr, di.storeValue());
     }
+    std::vector<Addr> addrs;
+    const MemoryImage *images[] = {&initial, &final_image};
+    for (const MemoryImage *image : images) {
+        for (const auto &[addr, value] : image->nonZeroWords())
+            addrs.push_back(addr);
+    }
+    std::sort(addrs.begin(), addrs.end());
+    addrs.erase(std::unique(addrs.begin(), addrs.end()), addrs.end());
     MemDelta delta;
-    const MemoryImage::Words &before = initial.words();
-    const MemoryImage::Words &after = final_image.words();
-    for (size_t i = 0; i < before.size(); ++i) {
-        if (before[i] != after[i])
-            delta.emplace_back(static_cast<Addr>(i) * kWordBytes, after[i]);
+    for (Addr addr : addrs) {
+        if (initial.read(addr) != final_image.read(addr))
+            delta.emplace_back(addr, final_image.read(addr));
     }
     return delta;
 }
