@@ -12,7 +12,7 @@ ChainedStoreBuffer::ChainedStoreBuffer(const ChainedSbParams &params)
       chainTable_(params.chainTableEntries, 0)
 {
     ICFP_ASSERT(std::has_single_bit(params.chainTableEntries));
-    ICFP_ASSERT(params.entries >= 1);
+    ICFP_ASSERT(std::has_single_bit(params.entries));
     chainBitsLog2_ =
         static_cast<unsigned>(std::countr_zero(params.chainTableEntries));
 }

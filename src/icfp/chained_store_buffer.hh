@@ -45,7 +45,7 @@ enum class SbMode : uint8_t {
 /** Configuration. */
 struct ChainedSbParams
 {
-    unsigned entries = 128;          ///< Table 1: 128-entry store buffer
+    unsigned entries = 128;          ///< Table 1; a power of two
     unsigned chainTableEntries = 512;///< Table 1: 512-entry chain table
     SbMode mode = SbMode::Chained;
     unsigned maxDrainMisses = 8;     ///< outstanding drained store misses
@@ -150,7 +150,10 @@ class ChainedStoreBuffer
     const SbStats &stats() const { return stats_; }
 
   private:
-    unsigned indexOf(Ssn ssn) const { return ssn % params_.entries; }
+    unsigned indexOf(Ssn ssn) const
+    {
+        return static_cast<unsigned>(ssn & (params_.entries - 1));
+    }
     unsigned hashOf(Addr addr) const
     {
         // Word-granular address hash into the chain table.

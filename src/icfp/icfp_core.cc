@@ -180,14 +180,11 @@ ICfpCore::tailLoad(const DynInst &di)
             // Mode switch: poll again next cycle.
             return {IssueStep::Stalled, cycle_ + 1};
         }
-        SliceEntry entry;
-        entry.traceIdx = static_cast<uint32_t>(tailIdx_);
-        entry.seq = seq;
-        entry.poison = fwd.poison;
+        SliceEntry entry = SliceEntry::of(di, seq);
         entry.src1Captured = true;
         entry.src1Val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
         entry.src2Captured = true;
-        slice_.push(entry);
+        slice_.push(entry, fwd.poison);
         rf0_.writePoisoned(di.dst, fwd.poison, seq);
         ++result_.slicedInsts;
         return {};
@@ -221,14 +218,11 @@ ICfpCore::tailLoad(const DynInst &di)
             return {IssueStep::Stalled, cycle_ + 1};
         }
         const PoisonMask mask = poisonBitMask(r.poisonBit, icfp_.poisonBits);
-        SliceEntry entry;
-        entry.traceIdx = static_cast<uint32_t>(tailIdx_);
-        entry.seq = seq;
-        entry.poison = mask;
+        SliceEntry entry = SliceEntry::of(di, seq);
         entry.src1Captured = true;
         entry.src1Val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
         entry.src2Captured = true;
-        slice_.push(entry);
+        slice_.push(entry, mask);
         rf0_.writePoisoned(di.dst, mask, seq);
         pending_.push(r.doneAt, mask);
         ++result_.slicedInsts;
@@ -291,10 +285,7 @@ ICfpCore::divertToSlice(const DynInst &di, PoisonMask poison)
         return {IssueStep::Stalled, cycle_ + 1};
     }
 
-    SliceEntry entry;
-    entry.traceIdx = static_cast<uint32_t>(tailIdx_);
-    entry.seq = seq;
-    entry.poison = poison;
+    SliceEntry entry = SliceEntry::of(di, seq);
     entry.src1Captured =
         di.src1 == kNoReg || rf0_.poison(di.src1) == 0;
     if (entry.src1Captured && di.src1 != kNoReg)
@@ -328,7 +319,7 @@ ICfpCore::divertToSlice(const DynInst &di, PoisonMask poison)
     if (di.hasDst())
         rf0_.writePoisoned(di.dst, poison, seq);
 
-    slice_.push(entry);
+    slice_.push(entry, poison);
     ++result_.slicedInsts;
     return {};
 }
@@ -513,7 +504,7 @@ ICfpCore::resolveEntry(SliceEntry &entry, size_t pos, const DynInst &di,
         // consumers can never want it later — a register stays poisoned
         // only while its last writer is still deferred, so anything
         // diverted after this point captures from RF0 instead.
-        slice_.deliverFrom(pos, entry.seq, value, ready_at);
+        slice_.deliverFrom(pos, value, ready_at);
         // Sequence-gated merge into the main register file: lands only if
         // this instruction is still the register's last writer (Figure 3).
         if (rf0_.writeGated(di.dst, value, entry.seq))
@@ -524,20 +515,18 @@ ICfpCore::resolveEntry(SliceEntry &entry, size_t pos, const DynInst &di,
 }
 
 void
-ICfpCore::rePoisonEntry(SliceEntry &entry, const DynInst &di,
-                        PoisonMask bits)
+ICfpCore::rePoisonEntry(const SliceEntry &entry, size_t pos, PoisonMask bits)
 {
     // Inputs still missing: re-poison the entry in place for a later pass
     // ("rallies themselves perform advance execution"). Keep the main
     // register file's and store buffer's poison bits current so newly
     // fetched dependents and forwarding loads wait on the right misses.
-    ICFP_ASSERT(bits != 0);
-    entry.poison = bits;
-    if (di.hasDst() && rf0_.lastWriter(di.dst) == entry.seq &&
-        rf0_.poison(di.dst) != 0) {
-        rf0_.writePoisoned(di.dst, bits, entry.seq);
+    slice_.rePoison(pos, bits);
+    if (entry.hasDst() && rf0_.lastWriter(entry.dst) == entry.seq &&
+        rf0_.poison(entry.dst) != 0) {
+        rf0_.writePoisoned(entry.dst, bits, entry.seq);
     }
-    if (di.isStore())
+    if (entry.isStore())
         csb_.updatePoison(entry.storeSsn, bits);
     ++result_.rallyInsts;
 }
@@ -545,36 +534,32 @@ ICfpCore::rePoisonEntry(SliceEntry &entry, const DynInst &di,
 ICfpCore::RallyOutcome
 ICfpCore::rallyExec(SliceEntry &entry, size_t pos)
 {
-    const DynInst &di = trace_->insts[entry.traceIdx];
-    const Instruction &si = trace_->program->code[di.pc];
-
     // Gather operands. Captured sources travel with the entry (insert-time
     // side inputs, or values resolveEntry() delivered over the bypass when
-    // their producer resolved); a still-uncaptured source names a producer
-    // that is itself still deferred in the slice buffer. A delivered value
-    // is usable only from its bypass readyAt cycle on.
+    // their producer resolved); a still-uncaptured source links to a
+    // producer that is itself still deferred in the slice buffer. A
+    // delivered value is usable only from its bypass readyAt cycle on.
+    // Most visits end here in a re-poison, before the trace is touched.
     PoisonMask still_poisoned = 0;
-    if (!entry.src1Captured) {
-        SliceEntry *producer = slice_.findBySeq(entry.src1Producer);
-        ICFP_ASSERT(producer != nullptr && producer->active);
-        still_poisoned |= producer->poison;
-    } else if (entry.src1ReadyAt > cycle_) {
+    if (!entry.src1Captured)
+        still_poisoned |=
+            slice_.producerPoison(entry.src1Link, entry.src1Producer);
+    else if (entry.src1ReadyAt > cycle_)
         return RallyOutcome::Stall;
-    }
-    if (!entry.src2Captured) {
-        SliceEntry *producer = slice_.findBySeq(entry.src2Producer);
-        ICFP_ASSERT(producer != nullptr && producer->active);
-        still_poisoned |= producer->poison;
-    } else if (entry.src2ReadyAt > cycle_) {
+    if (!entry.src2Captured)
+        still_poisoned |=
+            slice_.producerPoison(entry.src2Link, entry.src2Producer);
+    else if (entry.src2ReadyAt > cycle_)
         return RallyOutcome::Stall;
-    }
 
     if (still_poisoned != 0) {
         ICFP_ASSERT(icfp_.nonBlockingRally);
-        rePoisonEntry(entry, di, still_poisoned);
+        rePoisonEntry(entry, pos, still_poisoned);
         return RallyOutcome::RePoisoned;
     }
 
+    const DynInst &di = trace_->insts[entry.seq];
+    const Instruction &si = trace_->program->code[di.pc];
     const RegVal a = entry.src1Val;
     const RegVal b = entry.src2Val;
 
@@ -589,7 +574,7 @@ ICfpCore::rallyExec(SliceEntry &entry, size_t pos)
         if (fwd.found) {
             if (fwd.poisoned) {
                 ICFP_ASSERT(icfp_.nonBlockingRally);
-                rePoisonEntry(entry, di, fwd.poison);
+                rePoisonEntry(entry, pos, fwd.poison);
                 return RallyOutcome::RePoisoned;
             }
             ICFP_ASSERT(fwd.value == di.result());
@@ -609,7 +594,7 @@ ICfpCore::rallyExec(SliceEntry &entry, size_t pos)
             const PoisonMask mask =
                 poisonBitMask(r.poisonBit, icfp_.poisonBits);
             pending_.push(r.doneAt, mask);
-            rePoisonEntry(entry, di, mask);
+            rePoisonEntry(entry, pos, mask);
             return RallyOutcome::RePoisoned;
         }
         const RegVal value = memImage_.read(addr);
@@ -676,31 +661,28 @@ ICfpCore::rallyTick()
         return false;
 
     bool progressed = false;
-    unsigned skips = icfp_.sliceSkipPerCycle;
+    size_t skips = icfp_.sliceSkipPerCycle;
     unsigned execs = icfp_.rallyWidth;
 
     while (passPos_ < slice_.endIndex()) {
         // Head reclaim may have advanced past the scan position.
         passPos_ = std::max(passPos_, slice_.headIndex());
-        if (passPos_ >= slice_.endIndex())
-            break;
-        SliceEntry &entry = slice_.at(passPos_);
-        const bool wanted =
-            entry.active && (entry.poison & passBits_) != 0;
-        if (!wanted) {
-            // Banked skip of un-poisoned / non-matching entries.
-            if (skips == 0)
-                break;
-            --skips;
-            ++passPos_;
+        // Banked skip of un-poisoned / non-matching entries.
+        const size_t next = slice_.skipUnwanted(passPos_, passBits_, skips);
+        if (next != passPos_) {
+            skips -= next - passPos_;
+            passPos_ = next;
             progressed = true;
-            continue;
         }
+        if (passPos_ >= slice_.endIndex() ||
+            (slice_.poison(passPos_) & passBits_) == 0)
+            break; // end of the buffer, or out of skip bandwidth
         if (execs == 0)
             break;
 
-        const DynInst &di = trace_->insts[entry.traceIdx];
-        if (!slots_.available(fuClass(di.op)))
+        SliceEntry &entry = slice_.at(passPos_);
+        const FuClass fu = fuClass(entry.op);
+        if (!slots_.available(fu))
             break;
 
         const RallyOutcome outcome = rallyExec(entry, passPos_);
@@ -725,7 +707,7 @@ ICfpCore::rallyTick()
         if (outcome == RallyOutcome::Squashed)
             return true;
 
-        slots_.take(fuClass(di.op));
+        slots_.take(fu);
         --execs;
         ++passPos_;
         progressed = true;

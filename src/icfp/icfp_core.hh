@@ -102,8 +102,7 @@ class ICfpCore : public CoreBase
     RallyOutcome rallyExec(SliceEntry &entry, size_t pos);
     void resolveEntry(SliceEntry &entry, size_t pos, const DynInst &di,
                       RegVal value, Cycle ready_at);
-    void rePoisonEntry(SliceEntry &entry, const DynInst &di,
-                       PoisonMask bits);
+    void rePoisonEntry(const SliceEntry &entry, size_t pos, PoisonMask bits);
 
     // --- epoch control -----------------------------------------------------
     void enterEpoch(size_t miss_idx);
@@ -123,7 +122,7 @@ class ICfpCore : public CoreBase
 
     // Slice-internal value delivery models the scratch register file
     // (RF1, the borrowed thread context) plus the bypass network.
-    // Consumers record their producers' sequence numbers at slice
+    // Consumers are linked to their producers' buffer slots at slice
     // insertion; when a producer resolves, resolveEntry() broadcasts its
     // value directly into the (younger, still-buffered) consumer entries
     // — so WAW clobbering of a shared architectural register between

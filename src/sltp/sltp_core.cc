@@ -101,14 +101,11 @@ SltpCore::tailLoad(const DynInst &di)
         ICFP_ASSERT(inEpoch_);
         if (slice_.full()) // SLTP stalls; no fallback mode
             return {IssueStep::Stalled, cycle_ + 1};
-        SliceEntry entry;
-        entry.traceIdx = static_cast<uint32_t>(tailIdx_);
-        entry.seq = seq;
-        entry.poison = 1;
+        SliceEntry entry = SliceEntry::of(di, seq);
         entry.src1Captured = true;
         entry.src1Val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
         entry.src2Captured = true;
-        slice_.push(entry);
+        slice_.push(entry, 1);
         rf0_.writePoisoned(di.dst, 1, seq);
         ++result_.slicedInsts;
         return {};
@@ -135,14 +132,11 @@ SltpCore::tailLoad(const DynInst &di)
         // Retrying re-runs the cache access, so no idle-skip here.
         if (slice_.full())
             return {IssueStep::Stalled, cycle_ + 1};
-        SliceEntry entry;
-        entry.traceIdx = static_cast<uint32_t>(tailIdx_);
-        entry.seq = seq;
-        entry.poison = 1;
+        SliceEntry entry = SliceEntry::of(di, seq);
         entry.src1Captured = true;
         entry.src1Val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
         entry.src2Captured = true;
-        slice_.push(entry);
+        slice_.push(entry, 1);
         rf0_.writePoisoned(di.dst, 1, seq);
         pending_.push(r.doneAt, 1);
         ++result_.slicedInsts;
@@ -179,10 +173,7 @@ SltpCore::divertToSlice(const DynInst &di, PoisonMask poison)
     if (slice_.full() || (di.isStore() && srl_.size() >= sltp_.srlEntries))
         return {IssueStep::Stalled};
 
-    SliceEntry entry;
-    entry.traceIdx = static_cast<uint32_t>(tailIdx_);
-    entry.seq = seq;
-    entry.poison = poison;
+    SliceEntry entry = SliceEntry::of(di, seq);
     entry.src1Captured = di.src1 == kNoReg || rf0_.poison(di.src1) == 0;
     if (entry.src1Captured && di.src1 != kNoReg)
         entry.src1Val = rf0_.read(di.src1);
@@ -216,7 +207,7 @@ SltpCore::divertToSlice(const DynInst &di, PoisonMask poison)
     if (di.hasDst())
         rf0_.writePoisoned(di.dst, poison, seq);
 
-    slice_.push(entry);
+    slice_.push(entry, poison);
     ++result_.slicedInsts;
     return {};
 }
@@ -299,14 +290,14 @@ SltpCore::rallyTick()
         return;
     }
     size_t pos = slice_.headIndex();
-    while (pos < slice_.endIndex() && !slice_.at(pos).active)
+    while (pos < slice_.endIndex() && !slice_.active(pos))
         ++pos;
     ICFP_ASSERT(pos < slice_.endIndex());
     SliceEntry &entry = slice_.at(pos);
     if (!srl_.empty() && srl_.front().seq < entry.seq)
         return; // an older store must drain first
 
-    const DynInst &di = trace_->insts[entry.traceIdx];
+    const DynInst &di = trace_->insts[entry.seq];
     const Instruction &si = trace_->program->code[di.pc];
 
     // Operand delivery: insert-time captures travel with the entry, and
@@ -328,7 +319,7 @@ SltpCore::rallyTick()
 
     auto publish = [&](RegVal value, Cycle ready_at) {
         if (di.hasDst()) {
-            slice_.deliverFrom(pos, entry.seq, value, ready_at);
+            slice_.deliverFrom(pos, value, ready_at);
             if (rf0_.writeGated(di.dst, value, entry.seq))
                 regReady_[di.dst] = ready_at;
         }

@@ -2,11 +2,15 @@
  * @file
  * Unit and property tests for the iCFP mechanisms: the chained store
  * buffer (including a property sweep against an associative reference
- * model), the chain table, the slice buffer, poison vectors, the
+ * model), the chain table, the slice buffer (including its linked
+ * delivery against a search-and-scan reference model), poison vectors, the
  * register file's sequence gating, and the MP-safety signature.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "common/rng.hh"
 #include "core/register_file.hh"
@@ -224,21 +228,22 @@ TEST(ChainedSb, SsnWraparoundThroughBufferReuse)
 
 // ---- SliceBuffer ------------------------------------------------------------
 
+/** An entry with both sources captured, so it names no producer. */
 SliceEntry
-entryAt(SeqNum seq, PoisonMask poison = 1)
+entryAt(SeqNum seq)
 {
     SliceEntry e;
-    e.traceIdx = static_cast<uint32_t>(seq);
     e.seq = seq;
-    e.poison = poison;
+    e.src1Captured = true;
+    e.src2Captured = true;
     return e;
 }
 
 TEST(SliceBuffer, PushResolveReclaim)
 {
     SliceBuffer sb(4);
-    sb.push(entryAt(1));
-    sb.push(entryAt(2));
+    sb.push(entryAt(1), 1);
+    sb.push(entryAt(2), 1);
     EXPECT_EQ(sb.occupancy(), 2u);
     EXPECT_EQ(sb.oldestActiveSeq(), 1u);
     sb.resolve(sb.headIndex());
@@ -252,9 +257,9 @@ TEST(SliceBuffer, PushResolveReclaim)
 TEST(SliceBuffer, MiddleResolutionKeepsSparseOccupancy)
 {
     SliceBuffer sb(8);
-    sb.push(entryAt(1));
-    sb.push(entryAt(2));
-    sb.push(entryAt(3));
+    sb.push(entryAt(1), 1);
+    sb.push(entryAt(2), 1);
+    sb.push(entryAt(3), 1);
     sb.resolve(sb.headIndex() + 1); // resolve the middle entry
     // Space is reclaimed only from the head (Section 3.4).
     EXPECT_EQ(sb.occupancy(), 3u);
@@ -268,18 +273,18 @@ TEST(SliceBuffer, MiddleResolutionKeepsSparseOccupancy)
 TEST(SliceBuffer, FullBound)
 {
     SliceBuffer sb(2);
-    sb.push(entryAt(1));
+    sb.push(entryAt(1), 1);
     EXPECT_FALSE(sb.full());
-    sb.push(entryAt(2));
+    sb.push(entryAt(2), 1);
     EXPECT_TRUE(sb.full());
 }
 
 TEST(SliceBuffer, FindBySeq)
 {
     SliceBuffer sb(8);
-    sb.push(entryAt(10));
-    sb.push(entryAt(20));
-    sb.push(entryAt(30));
+    sb.push(entryAt(10), 1);
+    sb.push(entryAt(20), 1);
+    sb.push(entryAt(30), 1);
     ASSERT_NE(sb.findBySeq(20), nullptr);
     EXPECT_EQ(sb.findBySeq(20)->seq, 20u);
     EXPECT_EQ(sb.findBySeq(25), nullptr);
@@ -289,11 +294,226 @@ TEST(SliceBuffer, FindBySeq)
 TEST(SliceBuffer, ClearEmptiesEverything)
 {
     SliceBuffer sb(4);
-    sb.push(entryAt(1));
+    sb.push(entryAt(1), 1);
     sb.clear();
     EXPECT_EQ(sb.occupancy(), 0u);
     EXPECT_TRUE(sb.noneActive());
     EXPECT_EQ(sb.oldestActiveSeq(), ~SeqNum{0});
+}
+
+TEST(SliceBuffer, UncapturedSourceNeedsBufferedProducer)
+{
+    auto consumerOf = [](SeqNum seq, SeqNum producer) {
+        SliceEntry e = entryAt(seq);
+        e.src2Captured = false;
+        e.src2Producer = producer;
+        return e;
+    };
+    // No such entry.
+    EXPECT_DEATH(
+        {
+            SliceBuffer sb(4);
+            sb.push(consumerOf(2, 1), 1);
+        },
+        "assertion failed");
+    // Resolved, but not yet reclaimed behind an active head.
+    EXPECT_DEATH(
+        {
+            SliceBuffer sb(4);
+            sb.push(entryAt(1), 1);
+            sb.push(entryAt(2), 1);
+            sb.resolve(1);
+            sb.push(consumerOf(3, 2), 1);
+        },
+        "assertion failed");
+    // Resolved and reclaimed from the head.
+    EXPECT_DEATH(
+        {
+            SliceBuffer sb(4);
+            sb.push(entryAt(1), 1);
+            sb.push(entryAt(2), 1);
+            sb.resolve(0);
+            sb.push(consumerOf(3, 1), 1);
+        },
+        "assertion failed");
+    // A producer cannot resolve before it has delivered.
+    EXPECT_DEATH(
+        {
+            SliceBuffer sb(4);
+            sb.push(entryAt(1), 1);
+            sb.push(consumerOf(2, 1), 1);
+            sb.resolve(0);
+        },
+        "assertion failed");
+}
+
+TEST(SliceBuffer, LinkedDeliveryMatchesSearchAndScan)
+{
+    // A brute-force buffer that looks every producer up by sequence
+    // number and delivers by scanning every younger active entry, driven
+    // by the same seeded calls as the linked one.
+    struct Ref
+    {
+        SeqNum seq;
+        PoisonMask poison; ///< 0 once resolved
+        bool captured[2];
+        RegVal val[2];
+        Cycle readyAt[2];
+        SeqNum producer[2];
+    };
+    std::vector<Ref> ref; // un-reclaimed entries, oldest first
+    auto find = [&](SeqNum seq) -> Ref * {
+        for (Ref &r : ref) {
+            if (r.seq == seq)
+                return &r;
+        }
+        return nullptr;
+    };
+    auto consumersOf = [&](SeqNum seq) {
+        uint32_t n = 0;
+        for (const Ref &r : ref) {
+            for (int s = 0; s < 2; ++s)
+                n += !r.captured[s] && r.producer[s] == seq;
+        }
+        return n;
+    };
+    auto deliver = [&](const Ref &producer, RegVal value, Cycle ready_at) {
+        for (Ref &r : ref) {
+            if (r.seq <= producer.seq || r.poison == 0)
+                continue;
+            for (int s = 0; s < 2; ++s) {
+                if (!r.captured[s] && r.producer[s] == producer.seq) {
+                    r.captured[s] = true;
+                    r.val[s] = value;
+                    r.readyAt[s] = ready_at;
+                }
+            }
+        }
+    };
+    // A random active entry, optionally one whose sources are captured;
+    // returns its position in ref, or ref.size() when there is none.
+    Rng rng(26);
+    auto pick = [&](bool captured_only) {
+        std::vector<size_t> ok;
+        for (size_t k = 0; k < ref.size(); ++k) {
+            const Ref &r = ref[k];
+            if (r.poison != 0 &&
+                (!captured_only || (r.captured[0] && r.captured[1])))
+                ok.push_back(k);
+        }
+        return ok.empty() ? ref.size() : ok[rng.below(ok.size())];
+    };
+
+    constexpr unsigned kCapacity = 24;
+    SliceBuffer sb(kCapacity);
+    SeqNum next_seq = 0;
+    auto check = [&] {
+        ASSERT_EQ(sb.occupancy(), ref.size());
+        size_t active = 0;
+        SeqNum oldest = ~SeqNum{0};
+        for (size_t k = 0; k < ref.size(); ++k) {
+            const Ref &r = ref[k];
+            const size_t idx = sb.headIndex() + k;
+            const SliceEntry &e = sb.at(idx);
+            ASSERT_EQ(e.seq, r.seq);
+            ASSERT_EQ(sb.poison(idx), r.poison);
+            if (r.poison != 0) {
+                ++active;
+                oldest = std::min(oldest, r.seq);
+            }
+            ASSERT_EQ(e.consumers, consumersOf(r.seq));
+            const bool captured[2] = {e.src1Captured, e.src2Captured};
+            const RegVal val[2] = {e.src1Val, e.src2Val};
+            const Cycle ready[2] = {e.src1ReadyAt, e.src2ReadyAt};
+            const uint32_t link[2] = {e.src1Link, e.src2Link};
+            for (int s = 0; s < 2; ++s) {
+                ASSERT_EQ(captured[s], r.captured[s]);
+                if (captured[s]) {
+                    ASSERT_EQ(val[s], r.val[s]);
+                    ASSERT_EQ(ready[s], r.readyAt[s]);
+                } else {
+                    const Ref *producer = find(r.producer[s]);
+                    ASSERT_NE(producer, nullptr);
+                    ASSERT_EQ(sb.producerPoison(link[s], r.producer[s]),
+                              producer->poison);
+                }
+            }
+        }
+        ASSERT_EQ(sb.activeCount(), active);
+        ASSERT_EQ(sb.oldestActiveSeq(), oldest);
+
+        // The rally's banked skip over the same entries.
+        const size_t from = rng.below(ref.size() + 1);
+        const auto bits = static_cast<PoisonMask>(1 + rng.below(15));
+        const size_t budget = rng.below(9);
+        size_t k = from;
+        while (k < ref.size() && k < from + budget &&
+               (ref[k].poison & bits) == 0)
+            ++k;
+        ASSERT_EQ(sb.skipUnwanted(sb.headIndex() + from, bits, budget),
+                  sb.headIndex() + k);
+    };
+
+    for (int step = 0; step < 20000; ++step) {
+        SCOPED_TRACE(step);
+        const uint64_t op = rng.below(20);
+        if (op < 7) { // push
+            if (sb.full())
+                continue;
+            next_seq += 1 + rng.below(3);
+            Ref r{next_seq, static_cast<PoisonMask>(1 + rng.below(15)),
+                  {true, true}, {0, 0}, {0, 0}, {0, 0}};
+            for (int s = 0; s < 2; ++s) {
+                const size_t k = pick(false);
+                if (k < ref.size() && rng.below(3) != 0) {
+                    r.captured[s] = false;
+                    r.producer[s] = ref[k].seq;
+                } else {
+                    r.val[s] = rng.next();
+                    r.readyAt[s] = rng.below(100);
+                }
+            }
+            SliceEntry e;
+            e.seq = r.seq;
+            e.src1Captured = r.captured[0];
+            e.src2Captured = r.captured[1];
+            e.src1Val = r.val[0];
+            e.src2Val = r.val[1];
+            e.src1ReadyAt = r.readyAt[0];
+            e.src2ReadyAt = r.readyAt[1];
+            e.src1Producer = r.producer[0];
+            e.src2Producer = r.producer[1];
+            sb.push(e, r.poison);
+            ref.push_back(r);
+        } else if (op < 13) { // deliver, and usually resolve
+            const size_t k = pick(true);
+            if (k == ref.size())
+                continue;
+            const RegVal value = rng.next();
+            const Cycle ready_at = rng.below(100);
+            sb.deliverFrom(sb.headIndex() + k, value, ready_at);
+            deliver(ref[k], value, ready_at);
+            if (rng.below(4) != 0) {
+                sb.resolve(sb.headIndex() + k);
+                ref[k].poison = 0;
+                while (!ref.empty() && ref.front().poison == 0)
+                    ref.erase(ref.begin());
+            }
+        } else if (op < 19) { // re-poison
+            const size_t k = pick(false);
+            if (k == ref.size())
+                continue;
+            const auto bits = static_cast<PoisonMask>(1 + rng.below(15));
+            sb.rePoison(sb.headIndex() + k, bits);
+            ref[k].poison = bits;
+        } else if (rng.below(20) == 0) { // squash
+            sb.clear();
+            ref.clear();
+        }
+        check();
+        if (HasFatalFailure())
+            return;
+    }
 }
 
 // ---- Poison -----------------------------------------------------------------
