@@ -67,6 +67,41 @@ dependentMissProgram(unsigned hops)
     return std::move(b).build("dependent-misses");
 }
 
+/**
+ * Cold strided walk that branches on three pseudo-random bits of each
+ * loaded value: the branch is poisoned and mispredicted about one
+ * iteration in eight, so every advance mode goes down its wrong path.
+ * The not-taken path stores the missing value and reloads it.
+ */
+Program
+missBranchProgram(unsigned iterations, unsigned stride = 256)
+{
+    ProgramBuilder b(1 << 23);
+    b.li(1, 0x400000);
+    b.li(5, iterations);
+    b.li(6, 0);
+    b.li(8, 0x100);
+    const uint32_t loop = b.label();
+    b.ld(3, 1, 0);      // cold miss
+    b.andi(4, 3, 7);    // poisoned
+    const uint32_t branch = b.label();
+    b.bne(4, 0, 0);     // poisoned; target patched below
+    b.st(3, 8, 0);      // poisoned store data, known address
+    b.ld(9, 8, 0);
+    b.addi(7, 9, 1);
+    b.patchTarget(branch, b.label());
+    b.addi(1, 1, static_cast<int64_t>(stride));
+    b.addi(6, 6, 1);
+    b.blt(6, 5, loop);
+    b.halt();
+    uint64_t x = 12345;
+    for (unsigned i = 0; i < iterations; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        b.poke(0x400000 + Addr{i} * stride, x >> 33);
+    }
+    return std::move(b).build("miss-branch");
+}
+
 Trace
 traceOf(const Program &prog, uint64_t max_insts = 200000)
 {
@@ -297,6 +332,86 @@ TEST(SharedPipeline, NeverAdvancingSchemesAreTheInOrderBaseline)
                 EXPECT_EQ(r.advanceEntries, 0u) << what;
             }
         }
+    }
+}
+
+TEST(SharedPipeline, AdvanceModesPinnedOffDefaults)
+{
+    // Runahead's episode, Multipass's A-pipe and iCFP's simple-runahead
+    // fallback all run a non-committing advance. No golden grid runs
+    // these off-default configurations, which drive a tiny lossy
+    // forwarding cache, a poisoning secondary-miss policy, a full
+    // instruction buffer and a small slice buffer, so their exact counts
+    // are pinned here. No benchmark mispredicts a poisoned branch, so
+    // missBranchProgram() adds the wrong-path paths.
+    SimConfig cfg;
+    cfg.runahead.runaheadCacheEntries = 4;
+    cfg.runahead.trigger = AdvanceTrigger::AnyDcache;
+    cfg.runahead.secondaryPolicy = SecondaryMissPolicy::Poison;
+    cfg.multipass.instBufferEntries = 8;
+    cfg.multipass.forwardCacheEntries = 4;
+    cfg.icfp.sliceEntries = 16;
+    cfg.icfp.simpleRaMaxDepth = 64;
+
+    struct Pin
+    {
+        const char *bench;
+        CoreKind kind;
+        Cycle cycles;
+        uint64_t advanceEntries, advanceInsts, squashes, rallyPasses,
+            simpleRaEntries, dcacheMisses, l2Misses;
+    };
+    // Captured at 20k insts; like the goldens, they move only with a
+    // kSimSemanticsVersion bump.
+    static constexpr Pin kPins[] = {
+        {"graph.chase", CoreKind::Runahead, 539856, 1270, 772424, 1270,
+         0, 0, 1509, 1273},
+        {"graph.chase", CoreKind::Multipass, 525019, 2, 26309, 0,
+         1271, 0, 1509, 1273},
+        {"graph.chase", CoreKind::ICfp, 516663, 6, 40074, 0,
+         2544, 311, 1510, 1274},
+        {"graph.bfs", CoreKind::Runahead, 246719, 1500, 334120, 1500,
+         0, 0, 1697, 1512},
+        {"graph.bfs", CoreKind::Multipass, 428769, 2, 29238, 0,
+         1513, 0, 1697, 1514},
+        {"graph.bfs", CoreKind::ICfp, 208126, 5, 51801, 0,
+         3500, 496, 1698, 1513},
+        {"kv.cold", CoreKind::Runahead, 315457, 707, 379905, 707,
+         0, 0, 1699, 728},
+        {"kv.cold", CoreKind::Multipass, 307674, 689, 17036, 0,
+         1417, 0, 1689, 730},
+        {"kv.cold", CoreKind::ICfp, 288360, 7, 32752, 0, 1760, 200, 1690, 729},
+        {"join.probe", CoreKind::Runahead, 24879, 252, 12381, 252,
+         0, 0, 271, 24},
+        {"join.probe", CoreKind::Multipass, 24348, 236, 6233, 0,
+         269, 0, 271, 24},
+        {"join.probe", CoreKind::ICfp, 18617, 232, 9663, 0, 672, 7, 271, 24},
+        {"miss-branch", CoreKind::Runahead, 247396, 3117, 101532, 3117,
+         0, 0, 3121, 3},
+        {"miss-branch", CoreKind::Multipass, 262653, 500, 33242, 498,
+         3118, 0, 3121, 3},
+        {"miss-branch", CoreKind::ICfp, 266118, 535, 33295, 534,
+         6220, 519, 3121, 3},
+    };
+    std::string bench;
+    Trace trace;
+    for (const Pin &pin : kPins) {
+        if (bench != pin.bench) {
+            bench = pin.bench;
+            trace = bench == "miss-branch"
+                        ? traceOf(missBranchProgram(4000), 20000)
+                        : makeBenchTrace(findBenchmark(bench), 20000);
+        }
+        const RunResult r = simulate(pin.kind, cfg, trace);
+        const std::string what = bench + " on " + r.core;
+        EXPECT_EQ(r.cycles, pin.cycles) << what;
+        EXPECT_EQ(r.advanceEntries, pin.advanceEntries) << what;
+        EXPECT_EQ(r.advanceInsts, pin.advanceInsts) << what;
+        EXPECT_EQ(r.squashes, pin.squashes) << what;
+        EXPECT_EQ(r.rallyPasses, pin.rallyPasses) << what;
+        EXPECT_EQ(r.simpleRaEntries, pin.simpleRaEntries) << what;
+        EXPECT_EQ(r.mem.dcacheMisses, pin.dcacheMisses) << what;
+        EXPECT_EQ(r.mem.l2Misses, pin.l2Misses) << what;
     }
 }
 
