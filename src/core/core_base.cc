@@ -13,11 +13,15 @@ CoreBase::CoreBase(std::string name, const CoreParams &core_params,
 }
 
 void
-CoreBase::resetRunState()
+CoreBase::beginRun(const Trace &trace)
 {
     regReady_.fill(0);
     cycle_ = 0;
     fetchReadyAt_ = 0;
+    trace_ = &trace;
+    traceLen_ = trace.size();
+    result_ = RunResult{};
+    result_.instructions = traceLen_;
 }
 
 bool
@@ -32,14 +36,16 @@ CoreBase::resolveBranch(const DynInst &di, const BranchPrediction &pred,
     return correct;
 }
 
-void
-CoreBase::finishStats(RunResult *result) const
+const RunResult &
+CoreBase::finishRun()
 {
-    result->core = name_;
-    result->mem = mem_.stats();
-    result->dcacheMlp = mem_.dcacheMlp();
-    result->l2Mlp = mem_.l2Mlp();
-    result->branch = bpred_.stats();
+    result_.core = name_;
+    result_.cycles = cycle_;
+    result_.mem = mem_.stats();
+    result_.dcacheMlp = mem_.dcacheMlp();
+    result_.l2Mlp = mem_.l2Mlp();
+    result_.branch = bpred_.stats();
+    return result_;
 }
 
 } // namespace icfp

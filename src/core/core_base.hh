@@ -4,8 +4,9 @@
  * accounting (2-way: 2 int, 1 fp/mem/branch), the register timing
  * scoreboard, front-end redirect bookkeeping, the small associative
  * store buffer used by the baseline (Table 1: 32-entry), the baseline's
- * in-order issue step every in-order-pipeline scheme reuses, and the
- * idle-cycle clock rule.
+ * in-order issue step every in-order-pipeline scheme reuses, the
+ * non-committing advance step of Runahead, Multipass and iCFP's simple
+ * runahead, the per-run result and the idle-cycle clock rule.
  *
  * Every core model replays a golden Trace (isa/interpreter.hh): the trace
  * supplies resolved addresses, values and branch outcomes, while the model
@@ -176,6 +177,52 @@ struct IssueStep
     Cycle wake = kCycleNever;
 };
 
+/**
+ * A non-committing advance stream's scratch registers. A nonzero poison
+ * marks a value the stream does not have (advance modes only ever test it
+ * for zero); an unpoisoned value is usable from its ready cycle on.
+ */
+struct AdvanceRegs
+{
+    std::array<PoisonMask, kNumRegs> poison{};
+    std::array<Cycle, kNumRegs> ready{};
+
+    /** Write @p r; register 0 and kNoReg are never written. */
+    void
+    set(RegId r, PoisonMask bits, Cycle ready_at)
+    {
+        if (r != kNoReg && r != 0) {
+            poison[r] = bits;
+            ready[r] = ready_at;
+        }
+    }
+};
+
+/** An advance load's destination: poisoned, or ready at readyAt. */
+struct AdvanceValue
+{
+    PoisonMask poison = 0;
+    Cycle readyAt = 0;
+};
+
+/** How one advance attempt ended (CoreBase::advanceInOrder). */
+struct AdvanceStep
+{
+    enum Outcome : uint8_t {
+        Advanced,  ///< took its slot; the next instruction may follow
+        WrongPath, ///< took its slot as a mispredicted poisoned branch:
+                   ///< the stream is on the wrong path from here on
+        Stalled,   ///< did not advance
+    };
+
+    Outcome outcome = Advanced;
+    /** Stalled only: as IssueStep::wake. */
+    Cycle wake = kCycleNever;
+    /** A source or the loaded value was poisoned: no result recorded. */
+    bool poisoned = false;
+    BranchPrediction pred{}; ///< control only: the fetch-time prediction
+};
+
 /** Base class holding the state every timing core shares. */
 class CoreBase
 {
@@ -315,6 +362,116 @@ class CoreBase
     }
 
     /**
+     * One non-committing advance attempt for @p di on the scratch
+     * registers @p regs: propagate poison, prefetch through @p load,
+     * predict branches and resolve the unpoisoned ones. An instruction
+     * with a poisoned source takes an FuClass::None slot and waits for
+     * nothing else; a mispredicted poisoned branch ends in WrongPath.
+     * @p load (`AdvanceValue(const DynInst &)`) runs an unpoisoned load;
+     * @p store (`void(const DynInst &, PoisonMask data)`) sees every store
+     * whose address is known. Counts Advanced steps in advanceInsts.
+     */
+    template <typename Load, typename Store>
+    AdvanceStep
+    advanceInOrder(const DynInst &di, AdvanceRegs &regs, Load &&load,
+                   Store &&store)
+    {
+        PoisonMask poison = 0;
+        Cycle ready = 0;
+        for (const RegId src : {di.src1, di.src2}) {
+            if (src == kNoReg || src == 0)
+                continue;
+            poison |= regs.poison[src];
+            if (regs.poison[src] == 0)
+                ready = std::max(ready, regs.ready[src]);
+        }
+        if (ready > cycle_)
+            return {AdvanceStep::Stalled, ready};
+        const FuClass fu = poison != 0 ? FuClass::None : fuClass(di.op);
+        if (!slots_.available(fu))
+            return {AdvanceStep::Stalled, cycle_ + 1};
+
+        AdvanceStep step;
+        step.poisoned = poison != 0;
+        if (di.isStore()) {
+            // A poisoned address (src1) leaves nothing to forward from.
+            if (di.src1 == kNoReg || regs.poison[di.src1] == 0)
+                store(di, poison);
+        } else if (di.isControl()) {
+            step.pred = bpred_.predict(di);
+            if (poison != 0) {
+                regs.set(di.dst, poison, cycle_);
+                if (step.pred.predNextPc != di.nextPc)
+                    step.outcome = AdvanceStep::WrongPath;
+            } else {
+                if (di.op == Opcode::Call)
+                    regs.set(di.dst, 0, cycle_ + 1);
+                resolveBranch(di, step.pred, cycle_);
+            }
+        } else if (poison != 0) {
+            regs.set(di.dst, poison, cycle_);
+        } else if (di.op == Opcode::Ld) {
+            const AdvanceValue value = load(di);
+            regs.set(di.dst, value.poison, value.readyAt);
+            step.poisoned = value.poison != 0;
+        } else if (di.op != Opcode::Nop && di.op != Opcode::Halt) {
+            regs.set(di.dst, 0, cycle_ + fuLatency(di.op));
+        }
+        slots_.take(fu);
+        if (step.outcome == AdvanceStep::Advanced)
+            ++result_.advanceInsts;
+        return step;
+    }
+
+    /**
+     * Runahead's episode and Multipass's A-pipe: advance the stream at
+     * trace position @p pos (bounded by @p end) on @p regs until the issue
+     * width is used, a step stalls, the stream turns onto a wrong path or
+     * a redirect opens a front-end bubble. A stream on the wrong path
+     * stays idle until its owner clears @p wrong_path. @p record
+     * (`void(const AdvanceStep &)`) sees each instruction that advanced,
+     * and @p wake takes the next cycle a retry can succeed.
+     * @return true iff anything advanced
+     */
+    template <typename Load, typename Store, typename Record>
+    bool
+    advanceStream(AdvanceRegs &regs, size_t *pos, size_t end,
+                  bool *wrong_path, Cycle *wake, Load &&load, Store &&store,
+                  Record &&record)
+    {
+        if (*wrong_path)
+            return false; // state-driven: the owner resolves the branch
+        if (cycle_ < fetchReadyAt_) {
+            *wake = std::min(*wake, fetchReadyAt_);
+            return false;
+        }
+        bool advanced = false;
+        while (*pos < end && slots_.used() < params_.issueWidth) {
+            const AdvanceStep step =
+                advanceInOrder(trace_->insts[*pos], regs, load, store);
+            if (step.outcome == AdvanceStep::Stalled) {
+                *wake = std::min(*wake, step.wake);
+                break;
+            }
+            record(step);
+            ++*pos;
+            advanced = true;
+            if (step.outcome == AdvanceStep::WrongPath) {
+                // The bad branch advanced too (iCFP's simple runahead,
+                // which has its own loop, does not count it).
+                ++result_.advanceInsts;
+                *wrong_path = true;
+                break;
+            }
+            if (cycle_ < fetchReadyAt_)
+                break;
+        }
+        if (slots_.used() >= params_.issueWidth)
+            *wake = std::min(*wake, cycle_ + 1);
+        return advanced;
+    }
+
+    /**
      * A load's baseline store-buffer lookup: a match forwards its value at
      * D$-hit latency. @return true iff @p sb forwarded
      */
@@ -365,8 +522,11 @@ class CoreBase
             regReady_[di.dst] = at;
     }
 
-    /** Reset per-run mutable state. */
-    void resetRunState();
+    /** Start replaying @p trace: reset the per-run state and result_. */
+    void beginRun(const Trace &trace);
+
+    /** End the run: stamp the cycles and the shared stats into result_. */
+    const RunResult &finishRun();
 
     /**
      * Resolve a control instruction against its fetch-time prediction and
@@ -375,9 +535,6 @@ class CoreBase
      */
     bool resolveBranch(const DynInst &di, const BranchPrediction &pred,
                        Cycle resolve_cycle);
-
-    /** Collect common stats into @p result at end of run. */
-    void finishStats(RunResult *result) const;
 
     std::string name_;
     CoreParams params_;
@@ -388,6 +545,10 @@ class CoreBase
     std::array<Cycle, kNumRegs> regReady_{};
     Cycle cycle_ = 0;
     Cycle fetchReadyAt_ = 0; ///< front end can deliver from this cycle on
+
+    const Trace *trace_ = nullptr; ///< the trace being replayed
+    size_t traceLen_ = 0;
+    RunResult result_; ///< the run's statistics
 };
 
 } // namespace icfp

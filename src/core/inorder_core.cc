@@ -8,15 +8,11 @@ namespace icfp {
 RunResult
 InOrderCore::run(const Trace &trace)
 {
-    resetRunState();
-    RunResult result;
-    result.instructions = trace.size();
-
+    beginRun(trace);
     SimpleStoreBuffer sb(params_.storeBufferEntries);
     MemOverlay memory(&trace.program->initialMemory);
 
     size_t idx = 0;
-    const size_t n = trace.size();
 
     auto load = [&](const DynInst &di) {
         if (!forwardFromBuffer(sb, di))
@@ -25,7 +21,7 @@ InOrderCore::run(const Trace &trace)
     };
     auto store = [&](const DynInst &di) { return storeToBuffer(sb, di); };
 
-    while (idx < n) {
+    while (idx < traceLen_) {
         slots_.reset();
         sb.drain(cycle_, &memory);
 
@@ -38,7 +34,7 @@ InOrderCore::run(const Trace &trace)
         bool issued = false;
 
         // Issue in order until a hazard stops the cycle.
-        while (idx < n && slots_.used() < params_.issueWidth) {
+        while (idx < traceLen_ && slots_.used() < params_.issueWidth) {
             if (cycle_ < fetchReadyAt_) {
                 wake = fetchReadyAt_; // front-end bubble (redirect refill)
                 break;
@@ -57,9 +53,7 @@ InOrderCore::run(const Trace &trace)
     sb.flush(&memory);
     ICFP_ASSERT(memory.delta() == trace.finalDelta);
 
-    result.cycles = cycle_;
-    finishStats(&result);
-    return result;
+    return finishRun();
 }
 
 } // namespace icfp

@@ -73,7 +73,6 @@ struct RunResult
     uint64_t rallyInsts = 0;       ///< re-executed slice instructions
     uint64_t slicedInsts = 0;      ///< instructions diverted to the slice
     uint64_t squashes = 0;         ///< restores to the checkpoint
-    uint64_t wrongPathInsts = 0;   ///< advance work past a bad poisoned br
     uint64_t simpleRaEntries = 0;  ///< falls into "simple runahead" mode
     uint64_t poisonAddrStalls = 0; ///< poisoned-store-address stalls
 

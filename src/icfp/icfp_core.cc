@@ -79,10 +79,9 @@ ICfpCore::enterSimpleRunahead()
     simpleRa_ = true;
     sraWrongPath_ = false;
     sraStartIdx_ = tailIdx_;
-    for (int r = 0; r < kNumRegs; ++r) {
-        sraPoison_[r] = rf0_.poison(static_cast<RegId>(r));
-        sraReady_[r] = regReady_[r];
-    }
+    sraRegs_.ready = regReady_;
+    for (int r = 0; r < kNumRegs; ++r)
+        sraRegs_.poison[r] = rf0_.poison(static_cast<RegId>(r));
     ++result_.simpleRaEntries;
 }
 
@@ -374,7 +373,33 @@ ICfpCore::tailTick()
         }
         if (tailIdx_ >= sraStartIdx_ + icfp_.simpleRaMaxDepth)
             return; // lookahead bound: stop generating junk prefetches
-        simpleRunaheadTick();
+        // Non-committing advance (Section 3.4): keeps prefetching and
+        // branch resolution going on scratch registers; every instruction
+        // advanced here re-executes after the rewind. Any D$ miss poisons,
+        // stores have no buffer space and do nothing, and a redirect does
+        // not end the cycle.
+        auto load = [&](const DynInst &di) {
+            const MemAccessResult r = mem_.load(di.addr, cycle_);
+            return AdvanceValue{
+                r.missedDcache() ? poisonBitMask(r.poisonBit, icfp_.poisonBits)
+                                 : PoisonMask{0},
+                r.doneAt};
+        };
+        while (tailIdx_ < traceLen_ && slots_.used() < params_.issueWidth) {
+            const AdvanceStep step =
+                advanceInOrder(trace_->insts[tailIdx_], sraRegs_, load,
+                               [](const DynInst &, PoisonMask) {});
+            if (step.outcome == AdvanceStep::Stalled) {
+                tailWake_ = step.wake;
+                break;
+            }
+            ++tailIdx_;
+            tailDidWork_ = true;
+            if (step.outcome == AdvanceStep::WrongPath) {
+                sraWrongPath_ = true;
+                break;
+            }
+        }
         return;
     }
 
@@ -394,99 +419,6 @@ ICfpCore::tailTick()
     }
     if (slots_.used() >= params_.issueWidth)
         tailWake_ = cycle_ + 1; // stopped on issue width, not a hazard
-}
-
-void
-ICfpCore::simpleRunaheadTick()
-{
-    // Non-committing advance (Section 3.4): keeps prefetching and branch
-    // resolution going using scratch poison/timing state; every
-    // instruction processed here re-executes after the rewind.
-    while (tailIdx_ < traceLen_ && slots_.used() < params_.issueWidth) {
-        const DynInst &di = trace_->insts[tailIdx_];
-
-        PoisonMask poison = 0;
-        Cycle ready = 0;
-        if (di.src1 != kNoReg && di.src1 != 0) {
-            poison |= sraPoison_[di.src1];
-            if (sraPoison_[di.src1] == 0)
-                ready = std::max(ready, sraReady_[di.src1]);
-        }
-        if (di.src2 != kNoReg && di.src2 != 0) {
-            poison |= sraPoison_[di.src2];
-            if (sraPoison_[di.src2] == 0)
-                ready = std::max(ready, sraReady_[di.src2]);
-        }
-        if (ready > cycle_) {
-            tailWake_ = ready;
-            break;
-        }
-
-        const FuClass fu = poison ? FuClass::None : fuClass(di.op);
-        if (!slots_.available(fu)) {
-            tailWake_ = cycle_ + 1;
-            break;
-        }
-
-        if (poison == 0) {
-            switch (di.op) {
-              case Opcode::Ld: {
-                const MemAccessResult r = mem_.load(di.addr, cycle_);
-                if (r.missedDcache()) {
-                    if (di.dst != kNoReg && di.dst != 0)
-                        sraPoison_[di.dst] =
-                            poisonBitMask(r.poisonBit, icfp_.poisonBits);
-                } else if (di.dst != kNoReg && di.dst != 0) {
-                    sraPoison_[di.dst] = 0;
-                    sraReady_[di.dst] = r.doneAt;
-                }
-                break;
-              }
-              case Opcode::St:
-                break; // no store buffer space: stores do nothing here
-              case Opcode::Beq:
-              case Opcode::Bne:
-              case Opcode::Blt:
-              case Opcode::Jmp:
-              case Opcode::Call:
-              case Opcode::Ret: {
-                const BranchPrediction pred = bpred_.predict(di);
-                if (di.op == Opcode::Call && di.dst != kNoReg) {
-                    sraPoison_[di.dst] = 0;
-                    sraReady_[di.dst] = cycle_ + 1;
-                }
-                resolveBranch(di, pred, cycle_);
-                break;
-              }
-              default:
-                if (di.dst != kNoReg && di.dst != 0) {
-                    sraPoison_[di.dst] = 0;
-                    sraReady_[di.dst] = cycle_ + fuLatency(di.op);
-                }
-                break;
-            }
-        } else {
-            // Poison propagation without slicing.
-            if (di.hasDst())
-                sraPoison_[di.dst] = poison;
-            if (di.isControl()) {
-                const BranchPrediction pred = bpred_.predict(di);
-                if (pred.predNextPc != di.nextPc) {
-                    sraWrongPath_ = true;
-                    slots_.take(fu);
-                    ++tailIdx_;
-                    ++result_.wrongPathInsts;
-                    tailDidWork_ = true;
-                    break;
-                }
-            }
-        }
-
-        slots_.take(fu);
-        ++tailIdx_;
-        ++result_.advanceInsts;
-        tailDidWork_ = true;
-    }
 }
 
 // --------------------------------------------------------------------------
@@ -817,12 +749,7 @@ ICfpCore::nextEventCycle() const
 RunResult
 ICfpCore::run(const Trace &trace)
 {
-    resetRunState();
-    result_ = RunResult{};
-    trace_ = &trace;
-    traceLen_ = trace.size();
-    result_.instructions = traceLen_;
-
+    beginRun(trace);
     memImage_.reset(&trace.program->initialMemory);
     rf0_.clearAll();
     slice_.clear();
@@ -847,19 +774,6 @@ ICfpCore::run(const Trace &trace)
     drainWake_ = 0;
 
     while (tailIdx_ < traceLen_ || inEpoch_ || !csb_.empty()) {
-#ifdef ICFP_DEBUG_LOOP
-        if (cycle_ % 1000000 == 999999) {
-            std::fprintf(stderr,
-                "DBG c=%lu tail=%zu epoch=%d pass=%d passPos=%zu sliceOcc=%zu "
-                "active=%zu sra=%d sraWp=%d wp=%d pend=%zu ret=%x csb=%u "
-                "fetch=%lu rblk=%lu\n",
-                cycle_, tailIdx_, int(inEpoch_), int(passActive_), passPos_,
-                slice_.occupancy(), slice_.activeCount(), int(simpleRa_),
-                int(sraWrongPath_), int(wrongPath_), pending_.size(),
-                unsigned(returnedBits_), csb_.occupancy(), fetchReadyAt_,
-                rallyBlockedUntil_);
-        }
-#endif
         slots_.reset();
 
         const bool miss_returned = processMissReturns();
@@ -891,12 +805,10 @@ ICfpCore::run(const Trace &trace)
         ICFP_ASSERT(final_regs[r] == trace.finalRegs[r]);
     ICFP_ASSERT(memImage_.delta() == trace.finalDelta);
 
-    result_.cycles = cycle_;
-    finishStats(&result_);
     result_.sbChainLoads = csb_.stats().lookups;
     result_.sbExcessHops = csb_.stats().excessHops;
     result_.sbForwards = csb_.stats().forwards;
-    return result_;
+    return finishRun();
 }
 
 } // namespace icfp

@@ -67,7 +67,6 @@ class ICfpCore : public CoreBase
     /** @return true if rally made progress this cycle */
     bool rallyTick();
     void tailTick();
-    void simpleRunaheadTick();
     void drainTick();
     void maybeEndEpoch();
 
@@ -114,9 +113,6 @@ class ICfpCore : public CoreBase
     // --- configuration & state --------------------------------------------
     ICfpParams icfp_;
 
-    const Trace *trace_ = nullptr;
-    size_t traceLen_ = 0;
-
     MemOverlay memImage_;
     RegisterFile rf0_; ///< main register file (checkpointed)
 
@@ -158,8 +154,7 @@ class ICfpCore : public CoreBase
     bool simpleRa_ = false;
     bool sraWrongPath_ = false;
     size_t sraStartIdx_ = 0;
-    std::array<PoisonMask, kNumRegs> sraPoison_{};
-    std::array<Cycle, kNumRegs> sraReady_{};
+    AdvanceRegs sraRegs_; ///< simple runahead's scratch registers
 
     /**
      * Completion times of outstanding drained store misses. Only the
@@ -178,8 +173,6 @@ class ICfpCore : public CoreBase
     Cycle tailWake_ = 0;        ///< tail's next time-driven attempt cycle
     bool drainDidWork_ = false; ///< a store drained this cycle
     Cycle drainWake_ = 0;       ///< drain's next time-driven attempt cycle
-
-    RunResult result_;
 };
 
 } // namespace icfp

@@ -23,8 +23,7 @@ MultipassCore::enterEpisode(size_t after_idx)
     frontier_ = after_idx;
     window_.clear();
     wrongPath_ = false;
-    poison_.fill(false);
-    aReady_ = regReady_;
+    aRegs_ = AdvanceRegs{{}, regReady_};
     bReady_ = regReady_;
     ++result_.advanceEntries;
 }
@@ -36,7 +35,6 @@ MultipassCore::exitEpisode()
     inEpisode_ = false;
     resyncPending_ = false;
     fcache_.clear();
-    poison_.fill(false);
     regReady_ = bReady_;
     ++result_.rallyPasses;
 }
@@ -50,122 +48,13 @@ MultipassCore::resyncAdvance()
     fcache_.clear();
     wrongPath_ = false;
     resyncPending_ = false;
-    aReady_ = bReady_;
+    aRegs_.ready = bReady_;
     // Registers whose data is still far away stay poisoned for the new
     // pass; everything else carries the committed value.
     const Cycle horizon = cycle_ + mem_.params().l2HitLatency;
-    for (int r = 1; r < kNumRegs; ++r) {
-        if (bReady_[r] > horizon) {
-            poison_[r] = true;
-            aReady_[r] = cycle_;
-        } else {
-            poison_[r] = false;
-        }
-    }
+    for (int r = 1; r < kNumRegs; ++r)
+        aRegs_.poison[r] = bReady_[r] > horizon;
     ++result_.rallyPasses;
-}
-
-bool
-MultipassCore::advanceOne(const DynInst &di)
-{
-    if (window_.size() >= mp_.instBufferEntries)
-        return false; // instruction buffer full: the A-pipe stalls
-                      // (state-driven: the B-pipe must drain the window)
-
-    const bool p1 = di.src1 != kNoReg && poison_[di.src1];
-    const bool p2 = di.src2 != kNoReg && poison_[di.src2];
-    const bool poisoned = p1 || p2;
-
-    Cycle ready = 0;
-    if (di.src1 != kNoReg && di.src1 != 0 && !p1)
-        ready = std::max(ready, aReady_[di.src1]);
-    if (di.src2 != kNoReg && di.src2 != 0 && !p2)
-        ready = std::max(ready, aReady_[di.src2]);
-    if (ready > cycle_) {
-        aWake_ = ready;
-        return false;
-    }
-
-    const FuClass fu = poisoned ? FuClass::None : fuClass(di.op);
-    if (!slots_.available(fu)) {
-        aWake_ = cycle_ + 1;
-        return false;
-    }
-
-    WinEntry entry;
-    entry.resolved = !poisoned;
-
-    auto set_dst = [&](bool dst_poisoned, Cycle ready_at) {
-        if (di.dst == kNoReg || di.dst == 0)
-            return;
-        poison_[di.dst] = dst_poisoned;
-        aReady_[di.dst] = ready_at;
-    };
-
-    if (!poisoned) {
-        switch (di.op) {
-          case Opcode::Ld: {
-            const RunaheadCacheResult fc = fcache_.read(di.addr);
-            if (fc.hit) {
-                set_dst(fc.poisoned,
-                        cycle_ + mem_.params().dcacheHitLatency);
-                entry.resolved = !fc.poisoned;
-                break;
-            }
-            const MemAccessResult r = mem_.load(di.addr, cycle_);
-            if (r.missedL2()) {
-                // Prefetch generated; the B-pipe will pick up the data.
-                set_dst(true, cycle_);
-                entry.resolved = false;
-            } else {
-                // D$ hit — or a secondary D$ miss, which Multipass blocks
-                // on (stall-at-use).
-                set_dst(false, r.doneAt);
-            }
-            break;
-          }
-          case Opcode::St:
-            fcache_.write(di.addr, di.storeValue(), false);
-            break;
-          case Opcode::Beq:
-          case Opcode::Bne:
-          case Opcode::Blt:
-          case Opcode::Jmp:
-          case Opcode::Call:
-          case Opcode::Ret: {
-            entry.pred = bpred_.predict(di);
-            if (di.op == Opcode::Call)
-                set_dst(false, cycle_ + 1);
-            resolveBranch(di, entry.pred, cycle_);
-            break;
-          }
-          case Opcode::Nop:
-          case Opcode::Halt:
-            break;
-          default:
-            set_dst(false, cycle_ + fuLatency(di.op));
-            break;
-        }
-    } else {
-        if (di.hasDst())
-            set_dst(true, cycle_);
-        if (di.isStore() && !p1)
-            fcache_.write(di.addr, 0, true);
-        if (di.isControl()) {
-            entry.pred = bpred_.predict(di);
-            if (entry.pred.predNextPc != di.nextPc) {
-                // Wrong path until the B-pipe verifies this branch.
-                wrongPath_ = true;
-                ++result_.wrongPathInsts;
-            }
-        }
-    }
-
-    window_.push_back(entry);
-    slots_.take(fu);
-    ++frontier_;
-    ++result_.advanceInsts;
-    return true;
 }
 
 bool
@@ -280,21 +169,12 @@ MultipassCore::commitOne(SimpleStoreBuffer *sb, MemOverlay *memory)
 RunResult
 MultipassCore::run(const Trace &trace)
 {
-    resetRunState();
-    result_ = RunResult{};
-    trace_ = &trace;
-    traceLen_ = trace.size();
-    result_.instructions = traceLen_;
-
+    beginRun(trace);
     SimpleStoreBuffer sb(params_.storeBufferEntries);
     MemOverlay memory(&trace.program->initialMemory);
 
     size_t idx = 0;
     inEpisode_ = false;
-    poison_.fill(false);
-#ifdef ICFP_DEBUG_MP
-    uint64_t dbgAStarved = 0, dbgBWait = 0;
-#endif
 
     // Normal mode's loads: a triggering miss un-blocks the pipeline by
     // buffering everything after the load for the B-pipe, with the A-pipe
@@ -312,16 +192,31 @@ MultipassCore::run(const Trace &trace)
             return IssueStep{};
         enterEpisode(idx + 1);
         triggerReturnAt_ = r.doneAt;
-        if (di.dst != kNoReg && di.dst != 0) {
-            // The A-pipe advances past the miss by poisoning its result;
-            // the B-pipe waits for the real data.
-            poison_[di.dst] = true;
-            aReady_[di.dst] = cycle_;
-            bReady_[di.dst] = r.doneAt;
-        }
+        // The A-pipe advances past the miss by poisoning its result; the
+        // B-pipe waits for the real data (its timing copies regReady_).
+        aRegs_.set(di.dst, 1, cycle_);
         return IssueStep{IssueStep::ModeSwitch};
     };
     auto store = [&](const DynInst &di) { return storeToBuffer(sb, di); };
+
+    // A-pipe loads forward from the forwarding cache, else prefetch: an L2
+    // miss poisons, and a secondary D$ miss blocks (waits at use). A-pipe
+    // stores fill the forwarding cache; each advanced instruction joins
+    // the window with its result recorded unless it was poisoned.
+    auto advance_load = [&](const DynInst &di) {
+        const RunaheadCacheResult fc = fcache_.read(di.addr);
+        if (fc.hit)
+            return AdvanceValue{fc.poisoned,
+                                cycle_ + mem_.params().dcacheHitLatency};
+        const MemAccessResult r = mem_.load(di.addr, cycle_);
+        return AdvanceValue{r.missedL2(), r.doneAt};
+    };
+    auto advance_store = [&](const DynInst &di, PoisonMask data) {
+        fcache_.write(di.addr, data != 0 ? 0 : di.storeValue(), data != 0);
+    };
+    auto record = [&](const AdvanceStep &step) {
+        window_.push_back(WinEntry{!step.poisoned, step.pred});
+    };
 
     while (idx < traceLen_ || inEpisode_) {
         slots_.reset();
@@ -333,21 +228,6 @@ MultipassCore::run(const Trace &trace)
                 resyncAdvance();
             Cycle wake = kCycleNever;
             bool did_work = resynced;
-#ifdef ICFP_DEBUG_MP
-            if (window_.empty()) ++dbgAStarved;
-            else {
-                const DynInst &dd = trace[bPos_];
-                Cycle rdy = 0;
-                if (!window_.front().resolved) {
-                    if (dd.src1 != kNoReg && dd.src1 != 0) rdy = std::max(rdy, bReady_[dd.src1]);
-                    if (dd.src2 != kNoReg && dd.src2 != 0) rdy = std::max(rdy, bReady_[dd.src2]);
-                }
-                if (rdy > cycle_) ++dbgBWait;
-            }
-            if (cycle_ % 100000 == 99999)
-                std::fprintf(stderr, "MPDBG c=%lu starved=%lu bwait=%lu win=%zu bPos=%zu front=%zu\n",
-                             cycle_, dbgAStarved, dbgBWait, window_.size(), bPos_, frontier_);
-#endif
             // B-pipe (architectural, dedicated pipeline)...
             bSlots_.reset();
             while (bSlots_.used() < params_.issueWidth) {
@@ -360,26 +240,15 @@ MultipassCore::run(const Trace &trace)
             }
             if (bSlots_.used() >= params_.issueWidth)
                 wake = std::min(wake, cycle_ + 1);
-            // ...then the A-pipe advances with the leftover slots.
-            if (wrongPath_) {
-                // State-driven: the B-pipe resolves the bad branch.
-            } else if (cycle_ < fetchReadyAt_) {
-                wake = std::min(wake, fetchReadyAt_);
-            } else {
-                while (frontier_ < traceLen_ &&
-                       slots_.used() < params_.issueWidth) {
-                    aWake_ = kCycleNever;
-                    if (!advanceOne(trace[frontier_])) {
-                        wake = std::min(wake, aWake_);
-                        break;
-                    }
-                    did_work = true;
-                    if (wrongPath_ || cycle_ < fetchReadyAt_)
-                        break;
-                }
-                if (slots_.used() >= params_.issueWidth)
-                    wake = std::min(wake, cycle_ + 1);
-            }
+            // ...then the A-pipe advances into the free window, on its
+            // own slots. A full window (state-driven) waits for the B-pipe
+            // to drain it, and so does a wrong-path A-pipe: the B-pipe
+            // verifies the bad branch.
+            const size_t window_end =
+                std::min(traceLen_, bPos_ + mp_.instBufferEntries);
+            if (advanceStream(aRegs_, &frontier_, window_end, &wrongPath_,
+                              &wake, advance_load, advance_store, record))
+                did_work = true;
             // The episode ends when the B-pipe has caught the frontier
             // after the triggering miss has returned AND no memory-class
             // data is still outstanding — ending mid-miss would forfeit
@@ -434,9 +303,7 @@ MultipassCore::run(const Trace &trace)
     sb.flush(&memory);
     ICFP_ASSERT(memory.delta() == trace.finalDelta);
 
-    result_.cycles = cycle_;
-    finishStats(&result_);
-    return result_;
+    return finishRun();
 }
 
 } // namespace icfp

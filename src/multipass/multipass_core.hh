@@ -62,12 +62,6 @@ class MultipassCore : public CoreBase
      */
     void resyncAdvance();
 
-    /** One A-pipe (advance) instruction; false = stop issuing. */
-    bool advanceOne(const DynInst &di);
-
-    /** advanceOne()'s next time-driven attempt cycle when it returns
-     *  false (kCycleNever = state-driven; idle-skip bookkeeping). */
-    Cycle aWake_ = 0;
     /** One B-pipe (architectural re-execution) step; false = stall. */
     bool commitOne(SimpleStoreBuffer *sb, MemOverlay *memory);
 
@@ -79,9 +73,6 @@ class MultipassCore : public CoreBase
     RunaheadCache fcache_;
     IssueSlots bSlots_{params_}; ///< the B-pipe's own issue bandwidth
 
-    const Trace *trace_ = nullptr;
-    size_t traceLen_ = 0;
-
     bool inEpisode_ = false;
     Cycle triggerReturnAt_ = 0; ///< the triggering miss's fill time
     size_t bPos_ = 0;     ///< B-pipe position (= window base)
@@ -90,11 +81,8 @@ class MultipassCore : public CoreBase
     bool wrongPath_ = false;
     bool resyncPending_ = false;
 
-    std::array<bool, kNumRegs> poison_{};   ///< A-pipe poison
-    std::array<Cycle, kNumRegs> aReady_{};  ///< A-pipe operand timing
-    std::array<Cycle, kNumRegs> bReady_{};  ///< B-pipe operand timing
-
-    RunResult result_;
+    AdvanceRegs aRegs_;                    ///< A-pipe poison and timing
+    std::array<Cycle, kNumRegs> bReady_{}; ///< B-pipe operand timing
 };
 
 } // namespace icfp

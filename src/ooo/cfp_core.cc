@@ -218,9 +218,8 @@ CfpCore::nextEventCycle() const
 RunResult
 CfpCore::run(const Trace &trace)
 {
-    resetRunState();
-    resetWindow(trace.size());
-    trace_ = &trace;
+    beginRun(trace);
+    resetWindow(traceLen_);
 
     missDeferred_.assign(trace.size(), false);
     sliced_.assign(trace.size(), false);
@@ -231,9 +230,6 @@ CfpCore::run(const Trace &trace)
     slicedInsts_ = 0;
     rallyInsts_ = 0;
     sliceSquashes_ = 0;
-
-    RunResult result;
-    result.instructions = trace.size();
 
     postCommitSb_ = SimpleStoreBuffer(params_.storeBufferEntries);
     MemOverlay memory(&trace.program->initialMemory);
@@ -416,13 +412,10 @@ CfpCore::run(const Trace &trace)
     postCommitSb_.flush(&memory);
     ICFP_ASSERT(memory.delta() == trace.finalDelta);
 
-    result.cycles = cycle_;
-    result.slicedInsts = slicedInsts_;
-    result.rallyInsts = rallyInsts_;
-    result.squashes = sliceSquashes_;
-    finishStats(&result);
-    trace_ = nullptr;
-    return result;
+    result_.slicedInsts = slicedInsts_;
+    result_.rallyInsts = rallyInsts_;
+    result_.squashes = sliceSquashes_;
+    return finishRun();
 }
 
 } // namespace icfp

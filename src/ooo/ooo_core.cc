@@ -316,13 +316,8 @@ OooCore::advanceClock(bool active)
 RunResult
 OooCore::run(const Trace &trace)
 {
-    resetRunState();
-    resetWindow(trace.size());
-    trace_ = &trace;
-
-    RunResult result;
-    result.instructions = trace.size();
-
+    beginRun(trace);
+    resetWindow(traceLen_);
     postCommitSb_ = SimpleStoreBuffer(params_.storeBufferEntries);
     MemOverlay memory(&trace.program->initialMemory);
 
@@ -434,10 +429,7 @@ OooCore::run(const Trace &trace)
     postCommitSb_.flush(&memory);
     ICFP_ASSERT(memory.delta() == trace.finalDelta);
 
-    result.cycles = cycle_;
-    finishStats(&result);
-    trace_ = nullptr;
-    return result;
+    return finishRun();
 }
 
 } // namespace icfp

@@ -276,8 +276,6 @@ class OooCore : public CoreBase
      * here instead of spinning.
      */
     Cycle cycleLimit_ = 0;
-
-    const Trace *trace_ = nullptr;
 };
 
 } // namespace icfp

@@ -15,15 +15,13 @@ RunaheadCore::RunaheadCore(const CoreParams &core_params,
 }
 
 void
-RunaheadCore::enterRunahead(size_t miss_idx, Cycle return_at)
+RunaheadCore::enterRunahead(Cycle return_at)
 {
     ICFP_ASSERT(!inRunahead_);
     inRunahead_ = true;
-    chkIdx_ = miss_idx;
     triggerReturnAt_ = return_at;
     wrongPath_ = false;
-    poison_.fill(false);
-    raReady_ = regReady_;
+    raRegs_ = AdvanceRegs{{}, regReady_};
     ++result_.advanceEntries;
 }
 
@@ -42,123 +40,15 @@ RunaheadCore::exitRunahead()
     ++result_.squashes;
 }
 
-bool
-RunaheadCore::advanceOne(const DynInst &di)
-{
-    // raIdx lives in result_.advanceInsts bookkeeping; the caller passes
-    // the instruction and advances the index on success.
-    const bool p1 = di.src1 != kNoReg && poison_[di.src1];
-    const bool p2 = di.src2 != kNoReg && poison_[di.src2];
-    const bool poisoned = p1 || p2;
-
-    Cycle ready = 0;
-    if (di.src1 != kNoReg && di.src1 != 0 && !p1)
-        ready = std::max(ready, raReady_[di.src1]);
-    if (di.src2 != kNoReg && di.src2 != 0 && !p2)
-        ready = std::max(ready, raReady_[di.src2]);
-    if (ready > cycle_) {
-        raWake_ = ready;
-        return false;
-    }
-
-    const FuClass fu = poisoned ? FuClass::None : fuClass(di.op);
-    if (!slots_.available(fu)) {
-        raWake_ = cycle_ + 1;
-        return false;
-    }
-
-    auto set_dst = [&](bool dst_poisoned, Cycle ready_at) {
-        if (di.dst == kNoReg || di.dst == 0)
-            return;
-        poison_[di.dst] = dst_poisoned;
-        raReady_[di.dst] = ready_at;
-    };
-
-    if (!poisoned) {
-        switch (di.op) {
-          case Opcode::Ld: {
-            const RunaheadCacheResult rc = rcache_.read(di.addr);
-            if (rc.hit) {
-                set_dst(rc.poisoned,
-                        cycle_ + mem_.params().dcacheHitLatency);
-                break;
-            }
-            const MemAccessResult r = mem_.load(di.addr, cycle_);
-            if (r.missedL2()) {
-                // Generate the prefetch, poison, keep going.
-                set_dst(true, cycle_);
-            } else if (r.missedDcache() &&
-                       ra_.secondaryPolicy == SecondaryMissPolicy::Poison) {
-                set_dst(true, cycle_); // "D$-nb"
-            } else {
-                set_dst(false, r.doneAt); // hit, or "D$-b": wait at use
-            }
-            break;
-          }
-          case Opcode::St:
-            rcache_.write(di.addr, di.storeValue(), false);
-            break;
-          case Opcode::Beq:
-          case Opcode::Bne:
-          case Opcode::Blt:
-          case Opcode::Jmp:
-          case Opcode::Call:
-          case Opcode::Ret: {
-            const BranchPrediction pred = bpred_.predict(di);
-            if (di.op == Opcode::Call)
-                set_dst(false, cycle_ + 1);
-            resolveBranch(di, pred, cycle_);
-            break;
-          }
-          case Opcode::Nop:
-          case Opcode::Halt:
-            break;
-          default:
-            set_dst(false, cycle_ + fuLatency(di.op));
-            break;
-        }
-    } else {
-        // Poison propagation.
-        if (di.hasDst())
-            set_dst(true, cycle_);
-        if (di.isStore()) {
-            // Address known? (src1 feeds the address.)
-            if (!p1)
-                rcache_.write(di.addr, 0, true);
-            // Poisoned-address stores are simply skipped: forwarding is
-            // best-effort (this is exactly the robustness gap vs. the
-            // chained store buffer, Section 3.2).
-        }
-        if (di.isControl()) {
-            const BranchPrediction pred = bpred_.predict(di);
-            if (pred.predNextPc != di.nextPc) {
-                // Advance is on the wrong path until the episode ends.
-                wrongPath_ = true;
-                ++result_.wrongPathInsts;
-            }
-        }
-    }
-
-    slots_.take(fu);
-    ++result_.advanceInsts;
-    return true;
-}
-
 RunResult
 RunaheadCore::run(const Trace &trace)
 {
-    resetRunState();
-    result_ = RunResult{};
-    trace_ = &trace;
-    traceLen_ = trace.size();
-    result_.instructions = traceLen_;
-
+    beginRun(trace);
     SimpleStoreBuffer sb(params_.storeBufferEntries);
     MemOverlay memory(&trace.program->initialMemory);
 
     size_t idx = 0;       // architectural (normal-mode) position
     size_t ra_idx = 0;    // advance position during an episode
-    poison_.fill(false);
     inRunahead_ = false;
 
     // Normal mode's loads: a triggering miss enters an episode at the
@@ -175,15 +65,31 @@ RunaheadCore::run(const Trace &trace)
             setDstReady(di, r.doneAt);
             return IssueStep{};
         }
-        enterRunahead(idx, r.doneAt);
+        enterRunahead(r.doneAt);
         ra_idx = idx + 1;
-        if (di.dst != kNoReg && di.dst != 0) {
-            poison_[di.dst] = true;
-            raReady_[di.dst] = cycle_;
-        }
+        raRegs_.set(di.dst, 1, cycle_);
         return IssueStep{IssueStep::ModeSwitch};
     };
     auto store = [&](const DynInst &di) { return storeToBuffer(sb, di); };
+
+    // Advance loads forward from the runahead cache, else prefetch: an L2
+    // miss, or under "D$-nb" any D$ miss, poisons; a "D$-b" secondary
+    // miss waits at use. Advance stores fill the runahead cache.
+    auto advance_load = [&](const DynInst &di) {
+        const RunaheadCacheResult rc = rcache_.read(di.addr);
+        if (rc.hit)
+            return AdvanceValue{rc.poisoned,
+                                cycle_ + mem_.params().dcacheHitLatency};
+        const MemAccessResult r = mem_.load(di.addr, cycle_);
+        const bool poison =
+            r.missedL2() ||
+            (r.missedDcache() &&
+             ra_.secondaryPolicy == SecondaryMissPolicy::Poison);
+        return AdvanceValue{poison, r.doneAt};
+    };
+    auto advance_store = [&](const DynInst &di, PoisonMask data) {
+        rcache_.write(di.addr, data != 0 ? 0 : di.storeValue(), data != 0);
+    };
 
     while (idx < traceLen_) {
         slots_.reset();
@@ -197,29 +103,12 @@ RunaheadCore::run(const Trace &trace)
         if (inRunahead_) {
             // Idle-skip: the episode ends at triggerReturnAt_ no matter
             // what; in between, the advance stream can only act at its
-            // own stall-release times.
+            // own stall-release times. A wrong-path stream idles until
+            // the episode ends.
             Cycle wake = triggerReturnAt_;
-            bool advanced = false;
-            if (wrongPath_) {
-                // Nothing to do until the episode ends.
-            } else if (cycle_ < fetchReadyAt_) {
-                wake = std::min(wake, fetchReadyAt_);
-            } else {
-                while (ra_idx < traceLen_ &&
-                       slots_.used() < params_.issueWidth) {
-                    raWake_ = kCycleNever;
-                    if (!advanceOne(trace[ra_idx])) {
-                        wake = std::min(wake, raWake_);
-                        break;
-                    }
-                    advanced = true;
-                    ++ra_idx;
-                    if (wrongPath_ || cycle_ < fetchReadyAt_)
-                        break;
-                }
-                if (slots_.used() >= params_.issueWidth)
-                    wake = std::min(wake, cycle_ + 1);
-            }
+            const bool advanced = advanceStream(
+                raRegs_, &ra_idx, traceLen_, &wrongPath_, &wake,
+                advance_load, advance_store, [](const AdvanceStep &) {});
             advanceClock(advanced, wake);
             continue;
         }
@@ -248,9 +137,7 @@ RunaheadCore::run(const Trace &trace)
     sb.flush(&memory);
     ICFP_ASSERT(memory.delta() == trace.finalDelta);
 
-    result_.cycles = cycle_;
-    finishStats(&result_);
-    return result_;
+    return finishRun();
 }
 
 } // namespace icfp

@@ -36,34 +36,20 @@ class RunaheadCore : public CoreBase
     RunResult run(const Trace &trace) override;
 
   private:
-    /** Enter a runahead episode triggered by the load at @p miss_idx,
-     *  whose data returns at @p return_at. */
-    void enterRunahead(size_t miss_idx, Cycle return_at);
+    /** Enter a runahead episode triggered by a load whose data returns
+     *  at @p return_at; that load is the checkpoint. */
+    void enterRunahead(Cycle return_at);
     /** Episode over: discard speculative state, restart at checkpoint. */
     void exitRunahead();
-
-    /** One advance instruction; @return false to stop issuing. */
-    bool advanceOne(const DynInst &di);
-
-    /** advanceOne()'s next time-driven attempt cycle when it returns
-     *  false (kCycleNever = state-driven; idle-skip bookkeeping). */
-    Cycle raWake_ = 0;
 
     RunaheadParams ra_;
     RunaheadCache rcache_;
 
-    const Trace *trace_ = nullptr;
-    size_t traceLen_ = 0;
-
     bool inRunahead_ = false;
-    size_t chkIdx_ = 0;
     Cycle triggerReturnAt_ = 0;
     bool wrongPath_ = false;
 
-    std::array<bool, kNumRegs> poison_{};
-    std::array<Cycle, kNumRegs> raReady_{};
-
-    RunResult result_;
+    AdvanceRegs raRegs_; ///< the episode's scratch registers
 };
 
 } // namespace icfp

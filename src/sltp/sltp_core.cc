@@ -144,18 +144,6 @@ SltpCore::tailLoad(const DynInst &di)
     }
 
     const RegVal value = memImage_.read(di.addr);
-#ifdef ICFP_DEBUG_SLTP
-    if (value != di.result()) {
-        std::fprintf(stderr,
-            "SLTP MISMATCH tail=%zu pc=%u addr=%lx got=%lx want=%lx "
-            "inEpoch=%d inRally=%d chk=%zu srl=%zu op=%d src1=%d\n",
-            tailIdx_, di.pc, di.addr, value, di.result(), int(inEpoch_),
-            int(inRally_), chkIdx_, srl_.size(), int(di.op), int(di.src1));
-        for (const auto &e : srl_)
-            std::fprintf(stderr, "  srl seq=%lu addr=%lx val=%lx p=%d\n",
-                         e.seq, e.addr, e.value, int(e.poisoned));
-    }
-#endif
     ICFP_ASSERT(value == di.result());
     rf0_.write(di.dst, value, seq);
     setDstReady(di, r.doneAt);
@@ -198,10 +186,8 @@ SltpCore::divertToSlice(const DynInst &di, PoisonMask poison)
 
     if (di.isControl()) {
         entry.pred = bpred_.predict(di);
-        if (entry.pred.predNextPc != di.nextPc) {
+        if (entry.pred.predNextPc != di.nextPc)
             wrongPath_ = true;
-            ++result_.wrongPathInsts;
-        }
     }
 
     if (di.hasDst())
@@ -404,12 +390,7 @@ SltpCore::rallyTick()
 RunResult
 SltpCore::run(const Trace &trace)
 {
-    resetRunState();
-    result_ = RunResult{};
-    trace_ = &trace;
-    traceLen_ = trace.size();
-    result_.instructions = traceLen_;
-
+    beginRun(trace);
     memImage_.reset(&trace.program->initialMemory);
     rf0_.clearAll();
     slice_.clear();
@@ -486,9 +467,7 @@ SltpCore::run(const Trace &trace)
         ICFP_ASSERT(final_regs[r] == trace.finalRegs[r]);
     ICFP_ASSERT(memImage_.delta() == trace.finalDelta);
 
-    result_.cycles = cycle_;
-    finishStats(&result_);
-    return result_;
+    return finishRun();
 }
 
 } // namespace icfp

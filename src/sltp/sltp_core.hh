@@ -73,9 +73,6 @@ class SltpCore : public CoreBase
 
     SltpParams sltp_;
 
-    const Trace *trace_ = nullptr;
-    size_t traceLen_ = 0;
-
     MemOverlay memImage_;
     RegisterFile rf0_;
     SliceBuffer slice_;
@@ -95,8 +92,6 @@ class SltpCore : public CoreBase
     Cycle tailWake_ = 0;
     bool rallyDidWork_ = false;
     Cycle rallyWake_ = 0;
-
-    RunResult result_;
 };
 
 } // namespace icfp
