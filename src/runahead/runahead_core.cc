@@ -67,14 +67,16 @@ RunaheadCore::run(const Trace &trace)
         }
         enterRunahead(r.doneAt);
         ra_idx = idx + 1;
-        raRegs_.set(di.dst, 1, cycle_);
+        raRegs_.set(di.dst, 1, cycle_); // the missing value is poisoned
         return IssueStep{IssueStep::ModeSwitch};
     };
     auto store = [&](const DynInst &di) { return storeToBuffer(sb, di); };
 
     // Advance loads forward from the runahead cache, else prefetch: an L2
     // miss, or under "D$-nb" any D$ miss, poisons; a "D$-b" secondary
-    // miss waits at use. Advance stores fill the runahead cache.
+    // miss waits at use. Advance stores fill the runahead cache; one with
+    // a poisoned address is skipped, so forwarding is best-effort (the
+    // robustness gap to the chained store buffer, Section 3.2).
     auto advance_load = [&](const DynInst &di) {
         const RunaheadCacheResult rc = rcache_.read(di.addr);
         if (rc.hit)
