@@ -338,12 +338,15 @@ TEST(SharedPipeline, NeverAdvancingSchemesAreTheInOrderBaseline)
 TEST(SharedPipeline, AdvanceModesPinnedOffDefaults)
 {
     // Runahead's episode, Multipass's A-pipe and iCFP's simple-runahead
-    // fallback all run a non-committing advance. No golden grid runs
-    // these off-default configurations, which drive a tiny lossy
-    // forwarding cache, a poisoning secondary-miss policy, a full
-    // instruction buffer and a small slice buffer, so their exact counts
-    // are pinned here. No benchmark mispredicts a poisoned branch, so
-    // missBranchProgram() adds the wrong-path paths.
+    // fallback all run a non-committing advance, and SLTP and iCFP share
+    // the deferring tail. No golden grid runs these off-default
+    // configurations, which drive a tiny lossy forwarding cache, a
+    // poisoning secondary-miss policy, a full instruction buffer, a small
+    // slice buffer and SLTP's full-SRL, full-slice and poisoned-SRL
+    // forward paths, so their exact counts are pinned here. No benchmark
+    // mispredicts a poisoned branch, so missBranchProgram() adds the
+    // wrong-path paths; gcc's mispredicted tail branches open front-end
+    // bubbles in mid-cycle.
     SimConfig cfg;
     cfg.runahead.runaheadCacheEntries = 4;
     cfg.runahead.trigger = AdvanceTrigger::AnyDcache;
@@ -352,46 +355,63 @@ TEST(SharedPipeline, AdvanceModesPinnedOffDefaults)
     cfg.multipass.forwardCacheEntries = 4;
     cfg.icfp.sliceEntries = 16;
     cfg.icfp.simpleRaMaxDepth = 64;
+    cfg.sltp.trigger = AdvanceTrigger::AnyDcache;
+    cfg.sltp.srlEntries = 2;
+    cfg.sltp.sliceEntries = 16;
 
     struct Pin
     {
         const char *bench;
         CoreKind kind;
         Cycle cycles;
-        uint64_t advanceEntries, advanceInsts, squashes, rallyPasses,
-            simpleRaEntries, dcacheMisses, l2Misses;
+        uint64_t advanceEntries, advanceInsts, slicedInsts, squashes,
+            rallyPasses, simpleRaEntries, dcacheMisses, l2Misses;
     };
     // Captured at 20k insts; like the goldens, they move only with a
     // kSimSemanticsVersion bump.
     static constexpr Pin kPins[] = {
-        {"graph.chase", CoreKind::Runahead, 539856, 1270, 772424, 1270,
-         0, 0, 1509, 1273},
-        {"graph.chase", CoreKind::Multipass, 525019, 2, 26309, 0,
-         1271, 0, 1509, 1273},
-        {"graph.chase", CoreKind::ICfp, 516663, 6, 40074, 0,
-         2544, 311, 1510, 1274},
-        {"graph.bfs", CoreKind::Runahead, 246719, 1500, 334120, 1500,
-         0, 0, 1697, 1512},
-        {"graph.bfs", CoreKind::Multipass, 428769, 2, 29238, 0,
-         1513, 0, 1697, 1514},
-        {"graph.bfs", CoreKind::ICfp, 208126, 5, 51801, 0,
-         3500, 496, 1698, 1513},
-        {"kv.cold", CoreKind::Runahead, 315457, 707, 379905, 707,
-         0, 0, 1699, 728},
-        {"kv.cold", CoreKind::Multipass, 307674, 689, 17036, 0,
-         1417, 0, 1689, 730},
-        {"kv.cold", CoreKind::ICfp, 288360, 7, 32752, 0, 1760, 200, 1690, 729},
-        {"join.probe", CoreKind::Runahead, 24879, 252, 12381, 252,
-         0, 0, 271, 24},
-        {"join.probe", CoreKind::Multipass, 24348, 236, 6233, 0,
-         269, 0, 271, 24},
-        {"join.probe", CoreKind::ICfp, 18617, 232, 9663, 0, 672, 7, 271, 24},
-        {"miss-branch", CoreKind::Runahead, 247396, 3117, 101532, 3117,
-         0, 0, 3121, 3},
-        {"miss-branch", CoreKind::Multipass, 262653, 500, 33242, 498,
-         3118, 0, 3121, 3},
-        {"miss-branch", CoreKind::ICfp, 266118, 535, 33295, 534,
-         6220, 519, 3121, 3},
+        {"graph.chase", CoreKind::Runahead, 539856, 1270, 772424, 0, 1270, 0,
+         0, 1509, 1273},
+        {"graph.chase", CoreKind::Multipass, 525019, 2, 26309, 0, 0, 1271, 0,
+         1509, 1273},
+        {"graph.chase", CoreKind::Sltp, 517801, 212, 18610, 2547, 0, 212, 0,
+         1774, 1273},
+        {"graph.chase", CoreKind::ICfp, 516663, 6, 40074, 2546, 0, 2544, 311,
+         1510, 1274},
+        {"graph.bfs", CoreKind::Runahead, 246719, 1500, 334120, 0, 1500, 0, 0,
+         1697, 1512},
+        {"graph.bfs", CoreKind::Multipass, 428769, 2, 29238, 0, 0, 1513, 0,
+         1697, 1514},
+        {"graph.bfs", CoreKind::Sltp, 355832, 346, 18788, 5304, 0, 346, 0,
+         1697, 1514},
+        {"graph.bfs", CoreKind::ICfp, 208126, 5, 51801, 6118, 0, 3500, 496,
+         1698, 1513},
+        {"kv.cold", CoreKind::Runahead, 315457, 707, 379905, 0, 707, 0, 0,
+         1699, 728},
+        {"kv.cold", CoreKind::Multipass, 307674, 689, 17036, 0, 0, 1417, 0,
+         1689, 730},
+        {"kv.cold", CoreKind::Sltp, 303850, 700, 18933, 2131, 0, 700, 0, 1690,
+         730},
+        {"kv.cold", CoreKind::ICfp, 288360, 7, 32752, 1757, 0, 1760, 200, 1690,
+         729},
+        {"join.probe", CoreKind::Runahead, 24879, 252, 12381, 0, 252, 0, 0,
+         271, 24},
+        {"join.probe", CoreKind::Multipass, 24348, 236, 6233, 0, 0, 269, 0,
+         271, 24},
+        {"join.probe", CoreKind::Sltp, 22339, 238, 5038, 613, 0, 238, 0, 356,
+         24},
+        {"join.probe", CoreKind::ICfp, 18617, 232, 9663, 1081, 0, 672, 7, 271,
+         24},
+        {"miss-branch", CoreKind::Runahead, 247396, 3117, 101532, 0, 3117, 0,
+         0, 3121, 3},
+        {"miss-branch", CoreKind::Multipass, 262653, 500, 33242, 0, 498, 3118,
+         0, 3121, 3},
+        {"miss-branch", CoreKind::Sltp, 275751, 802, 15757, 8800, 483, 802, 0,
+         3121, 3},
+        {"miss-branch", CoreKind::ICfp, 266118, 535, 33295, 9389, 534, 6220,
+         519, 3121, 3},
+        {"gcc", CoreKind::Sltp, 14839, 217, 6923, 220, 0, 217, 0, 508, 4},
+        {"gcc", CoreKind::ICfp, 13143, 208, 10066, 544, 0, 374, 2, 294, 4},
     };
     std::string bench;
     Trace trace;
@@ -407,6 +427,7 @@ TEST(SharedPipeline, AdvanceModesPinnedOffDefaults)
         EXPECT_EQ(r.cycles, pin.cycles) << what;
         EXPECT_EQ(r.advanceEntries, pin.advanceEntries) << what;
         EXPECT_EQ(r.advanceInsts, pin.advanceInsts) << what;
+        EXPECT_EQ(r.slicedInsts, pin.slicedInsts) << what;
         EXPECT_EQ(r.squashes, pin.squashes) << what;
         EXPECT_EQ(r.rallyPasses, pin.rallyPasses) << what;
         EXPECT_EQ(r.simpleRaEntries, pin.simpleRaEntries) << what;
