@@ -162,7 +162,7 @@ class SimpleStoreBuffer
     unsigned capacity_;
 };
 
-/** How one issue attempt ended (CoreBase::issueInOrder, issueOrDefer). */
+/** How one issue attempt ended (issueInOrder, SliceCore::issueOrDefer). */
 struct IssueStep
 {
     enum Outcome : uint8_t {
@@ -317,47 +317,6 @@ class CoreBase
         }
         if (step.outcome != IssueStep::Stalled)
             slots_.take(fu);
-        return step;
-    }
-
-    /**
-     * One tail attempt for a core that defers miss-dependent work to a
-     * slice (SLTP, iCFP). In an epoch (@p in_epoch), an instruction with
-     * a poisoned source goes to @p defer (`IssueStep(const DynInst &,
-     * PoisonMask)`) in an FuClass::None slot once its other sources are
-     * ready to be captured at the latch. Anything else issues in order,
-     * writing its control or ALU value into @p rf as @p seq.
-     */
-    template <typename Defer, typename Load, typename Store>
-    IssueStep
-    issueOrDefer(const DynInst &di, bool in_epoch, RegisterFile &rf,
-                 SeqNum seq, Defer &&defer, Load &&load, Store &&store)
-    {
-        PoisonMask poison = 0;
-        if (in_epoch) {
-            for (const RegId src : {di.src1, di.src2}) {
-                if (src != kNoReg)
-                    poison |= rf.poison(src);
-            }
-        }
-        if (poison == 0) {
-            return issueInOrder(di, load, store, [&](const DynInst &inst) {
-                rf.write(inst.dst, inst.result(), seq);
-            });
-        }
-
-        Cycle side_ready = 0;
-        for (const RegId src : {di.src1, di.src2}) {
-            if (src != kNoReg && src != 0 && rf.poison(src) == 0)
-                side_ready = std::max(side_ready, regReady_[src]);
-        }
-        if (side_ready > cycle_)
-            return {IssueStep::Stalled, side_ready};
-        if (!slots_.available(FuClass::None))
-            return {IssueStep::Stalled, cycle_ + 1};
-        const IssueStep step = defer(di, poison);
-        if (step.outcome != IssueStep::Stalled)
-            slots_.take(FuClass::None);
         return step;
     }
 

@@ -9,10 +9,9 @@ namespace icfp {
 
 ICfpCore::ICfpCore(const CoreParams &core_params, const MemParams &mem_params,
                    const ICfpParams &icfp_params)
-    : CoreBase("icfp", core_params, mem_params),
+    : SliceCore("icfp", core_params, mem_params, icfp_params.sliceEntries),
       icfp_(icfp_params),
       csb_(icfp_params.storeBuffer),
-      slice_(icfp_params.sliceEntries),
       sig_(icfp_params.signatureBits)
 {
     ICFP_ASSERT(icfp_.poisonBits >= 1 && icfp_.poisonBits <= kMaxPoisonBits);
@@ -21,31 +20,6 @@ ICfpCore::ICfpCore(const CoreParams &core_params, const MemParams &mem_params,
 // --------------------------------------------------------------------------
 // Epoch control
 // --------------------------------------------------------------------------
-
-void
-ICfpCore::enterEpoch(size_t miss_idx)
-{
-    ICFP_ASSERT(!inEpoch_);
-    rf0_.checkpoint();
-    chkIdx_ = miss_idx;
-    chkSsnTail_ = csb_.ssnTail();
-    inEpoch_ = true;
-    ++result_.advanceEntries;
-}
-
-void
-ICfpCore::endEpoch()
-{
-    ICFP_ASSERT(inEpoch_);
-    ICFP_ASSERT(slice_.noneActive());
-    ICFP_ASSERT(!rf0_.anyPoisoned());
-    inEpoch_ = false;
-    passActive_ = false;
-    returnedBits_ = 0;
-    pending_.clear();
-    sig_.clear();
-    wrongPath_ = false;
-}
 
 void
 ICfpCore::squash()
@@ -109,6 +83,8 @@ ICfpCore::maybeEndEpoch()
     if (simpleRa_)
         exitSimpleRunahead();
     endEpoch();
+    returnedBits_ = 0;
+    sig_.clear();
 }
 
 // --------------------------------------------------------------------------
@@ -163,29 +139,20 @@ ICfpCore::tailLoad(const DynInst &di)
 
     if (fwd.found && !fwd.poisoned) {
         // Store buffer forwarding; extra chain hops add load latency.
-        ICFP_ASSERT(fwd.value == di.result());
-        rf0_.write(di.dst, fwd.value, seq);
-        setDstReady(di, cycle_ + mem_.params().dcacheHitLatency +
-                            fwd.excessHops);
+        writeLoad(di, fwd.value,
+                  cycle_ + mem_.params().dcacheHitLatency + fwd.excessHops);
         return {};
     }
 
     if (fwd.found && fwd.poisoned) {
         // Forwarding from a miss-dependent store: the load inherits the
         // store's poison and defers (Section 3.2).
-        ICFP_ASSERT(inEpoch_);
         if (slice_.full()) {
             enterSimpleRunahead();
             // Mode switch: poll again next cycle.
             return {IssueStep::Stalled, cycle_ + 1};
         }
-        SliceEntry entry = SliceEntry::of(di, seq);
-        entry.src1Captured = true;
-        entry.src1Val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
-        entry.src2Captured = true;
-        slice_.push(entry, fwd.poison);
-        rf0_.writePoisoned(di.dst, fwd.poison, seq);
-        ++result_.slicedInsts;
+        deferLoad(di, seq, fwd.poison);
         return {};
     }
 
@@ -205,6 +172,8 @@ ICfpCore::tailLoad(const DynInst &di)
             (icfp_.trigger == AdvanceTrigger::AnyDcache && d_miss) ||
             (icfp_.trigger == AdvanceTrigger::L2Only && l2_miss);
         if (trigger) {
+            rf0_.checkpoint();
+            chkSsnTail_ = csb_.ssnTail();
             enterEpoch(tailIdx_);
             poison_it = true;
         }
@@ -217,14 +186,8 @@ ICfpCore::tailLoad(const DynInst &di)
             return {IssueStep::Stalled, cycle_ + 1};
         }
         const PoisonMask mask = poisonBitMask(r.poisonBit, icfp_.poisonBits);
-        SliceEntry entry = SliceEntry::of(di, seq);
-        entry.src1Captured = true;
-        entry.src1Val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
-        entry.src2Captured = true;
-        slice_.push(entry, mask);
-        rf0_.writePoisoned(di.dst, mask, seq);
+        deferLoad(di, seq, mask);
         pending_.push(r.doneAt, mask);
-        ++result_.slicedInsts;
         return {};
     }
 
@@ -232,12 +195,9 @@ ICfpCore::tailLoad(const DynInst &di)
     // reflects all drained stores; anything younger would have forwarded.
     // A no-match chain walk still costs its excess hops: the D$ value is
     // usable only once the walk confirms nothing younger forwards.
-    const RegVal value = memImage_.read(di.addr);
-    ICFP_ASSERT(value == di.result());
-    rf0_.write(di.dst, value, seq);
-    setDstReady(di, std::max(r.doneAt,
-                             cycle_ + mem_.params().dcacheHitLatency +
-                                 fwd.excessHops));
+    writeLoad(di, memImage_.read(di.addr),
+              std::max(r.doneAt, cycle_ + mem_.params().dcacheHitLatency +
+                                     fwd.excessHops));
     if (inEpoch_)
         sig_.insert(di.addr); // vulnerable to external stores (Section 3.3)
     return {};
@@ -261,9 +221,6 @@ ICfpCore::tailStore(const DynInst &di)
 IssueStep
 ICfpCore::divertToSlice(const DynInst &di, PoisonMask poison)
 {
-    ICFP_ASSERT(inEpoch_);
-    const SeqNum seq = tailIdx_;
-
     // A store whose *address* is poisoned cannot be chained into the store
     // buffer; proceeding would forfeit forwarding guarantees (Section 3.2).
     const bool addr_poisoned =
@@ -284,65 +241,13 @@ ICfpCore::divertToSlice(const DynInst &di, PoisonMask poison)
         return {IssueStep::Stalled, cycle_ + 1};
     }
 
-    SliceEntry entry = SliceEntry::of(di, seq);
-    entry.src1Captured =
-        di.src1 == kNoReg || rf0_.poison(di.src1) == 0;
-    if (entry.src1Captured && di.src1 != kNoReg)
-        entry.src1Val = rf0_.read(di.src1);
-    else if (!entry.src1Captured)
-        entry.src1Producer = rf0_.lastWriter(di.src1);
-    entry.src2Captured =
-        di.src2 == kNoReg || rf0_.poison(di.src2) == 0;
-    if (entry.src2Captured && di.src2 != kNoReg)
-        entry.src2Val = rf0_.read(di.src2);
-    else if (!entry.src2Captured)
-        entry.src2Producer = rf0_.lastWriter(di.src2);
-
+    SliceEntry entry = captureEntry(di, tailIdx_);
     if (di.isStore()) {
         // Address known, data poisoned: allocate (and chain) the store
         // buffer entry now; the rally fills in the value later.
-        entry.storeSsn = csb_.allocate(di.addr, 0, poison, seq);
+        entry.storeSsn = csb_.allocate(di.addr, 0, poison, tailIdx_);
     }
-
-    if (di.isControl()) {
-        // Poisoned branch: predict now, verify during the rally.
-        entry.pred = bpred_.predict(di);
-        if (entry.pred.predNextPc != di.nextPc) {
-            // Advance is now on the wrong path. The tail stops doing
-            // useful work until the rally resolves this branch and
-            // squashes (trace-driven wrong-path approximation).
-            wrongPath_ = true;
-        }
-    }
-
-    if (di.hasDst())
-        rf0_.writePoisoned(di.dst, poison, seq);
-
-    slice_.push(entry, poison);
-    ++result_.slicedInsts;
-    return {};
-}
-
-bool
-ICfpCore::tailIssueOne(const DynInst &di)
-{
-    // Miss-dependent instructions divert to the slice buffer; the rest
-    // issue in order.
-    const IssueStep step = issueOrDefer(
-        di, inEpoch_, rf0_, tailIdx_,
-        [&](const DynInst &inst, PoisonMask poison) {
-            return divertToSlice(inst, poison);
-        },
-        [&](const DynInst &ld) { return tailLoad(ld); },
-        [&](const DynInst &st) { return tailStore(st); });
-    if (step.outcome == IssueStep::Stalled) {
-        tailWake_ = step.wake;
-        return false;
-    }
-    ++tailIdx_;
-    if (inEpoch_)
-        ++result_.advanceInsts;
-    return true;
+    return divert(entry, di, poison);
 }
 
 void
@@ -403,48 +308,21 @@ ICfpCore::tailTick()
         return;
     }
 
-    if (wrongPath_)
-        return; // nothing useful to fetch (wrong-path approximation)
-    if (cycle_ < fetchReadyAt_) {
-        tailWake_ = fetchReadyAt_;
-        return;
-    }
-
-    while (tailIdx_ < traceLen_ && slots_.used() < params_.issueWidth) {
-        if (!tailIssueOne(trace_->insts[tailIdx_]))
-            break;
-        tailDidWork_ = true;
-        if (wrongPath_ || simpleRa_ || cycle_ < fetchReadyAt_)
-            break;
-    }
-    if (slots_.used() >= params_.issueWidth)
-        tailWake_ = cycle_ + 1; // stopped on issue width, not a hazard
+    // Miss-dependent instructions divert to the slice buffer; the rest
+    // issue in order. Every step that falls back to simple runahead
+    // stalls, so the switch always ends the loop.
+    tailDidWork_ = tailIssue(
+        &tailWake_,
+        [&](const DynInst &di, PoisonMask poison) {
+            return divertToSlice(di, poison);
+        },
+        [&](const DynInst &di) { return tailLoad(di); },
+        [&](const DynInst &di) { return tailStore(di); });
 }
 
 // --------------------------------------------------------------------------
 // Rally execution
 // --------------------------------------------------------------------------
-
-void
-ICfpCore::resolveEntry(SliceEntry &entry, size_t pos, const DynInst &di,
-                       RegVal value, Cycle ready_at)
-{
-    if (di.hasDst()) {
-        // Publish the result for younger slice consumers (scratch register
-        // file + bypass network): deliver straight into every buffered
-        // entry that recorded this instruction as a source producer. New
-        // consumers can never want it later — a register stays poisoned
-        // only while its last writer is still deferred, so anything
-        // diverted after this point captures from RF0 instead.
-        slice_.deliverFrom(pos, value, ready_at);
-        // Sequence-gated merge into the main register file: lands only if
-        // this instruction is still the register's last writer (Figure 3).
-        if (rf0_.writeGated(di.dst, value, entry.seq))
-            regReady_[di.dst] = ready_at;
-    }
-    slice_.resolve(pos);
-    ++result_.rallyInsts;
-}
 
 void
 ICfpCore::rePoisonEntry(const SliceEntry &entry, size_t pos, PoisonMask bits)
@@ -749,21 +627,13 @@ ICfpCore::nextEventCycle() const
 RunResult
 ICfpCore::run(const Trace &trace)
 {
-    beginRun(trace);
-    memImage_.reset(&trace.program->initialMemory);
-    rf0_.clearAll();
-    slice_.clear();
-    pending_.clear();
+    beginSliceRun(trace);
     sig_.clear();
     csb_ = ChainedStoreBuffer(icfp_.storeBuffer);
     drainMisses_.clear();
 
-    tailIdx_ = 0;
-    inEpoch_ = false;
     passActive_ = false;
     returnedBits_ = 0;
-    rallyBlockedUntil_ = 0;
-    wrongPath_ = false;
     simpleRa_ = false;
     sraWrongPath_ = false;
     nextExternalStore_ = 0;
@@ -798,17 +668,10 @@ ICfpCore::run(const Trace &trace)
         advanceClock(active, active ? kCycleNever : nextEventCycle());
     }
 
-    // Functional verification against the golden interpreter.
-    ICFP_ASSERT(!rf0_.anyPoisoned());
-    const RegFileState final_regs = rf0_.values();
-    for (int r = 1; r < kNumRegs; ++r)
-        ICFP_ASSERT(final_regs[r] == trace.finalRegs[r]);
-    ICFP_ASSERT(memImage_.delta() == trace.finalDelta);
-
     result_.sbChainLoads = csb_.stats().lookups;
     result_.sbExcessHops = csb_.stats().excessHops;
     result_.sbForwards = csb_.stats().forwards;
-    return finishRun();
+    return finishSliceRun();
 }
 
 } // namespace icfp

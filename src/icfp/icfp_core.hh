@@ -36,18 +36,15 @@
 #include <utility>
 #include <vector>
 
-#include "core/core_base.hh"
-#include "core/register_file.hh"
 #include "icfp/chained_store_buffer.hh"
 #include "icfp/icfp_params.hh"
-#include "icfp/poison.hh"
 #include "icfp/signature.hh"
-#include "icfp/slice_buffer.hh"
+#include "icfp/slice_core.hh"
 
 namespace icfp {
 
 /** The iCFP core. */
-class ICfpCore : public CoreBase
+class ICfpCore : public SliceCore
 {
   public:
     ICfpCore(const CoreParams &core_params, const MemParams &mem_params,
@@ -84,8 +81,6 @@ class ICfpCore : public CoreBase
     Cycle nextEventCycle() const;
 
     // --- tail helpers ------------------------------------------------------
-    /** @return false if the tail must stop issuing this cycle */
-    bool tailIssueOne(const DynInst &di);
     IssueStep tailLoad(const DynInst &di);
     IssueStep tailStore(const DynInst &di);
     IssueStep divertToSlice(const DynInst &di, PoisonMask poison);
@@ -99,13 +94,9 @@ class ICfpCore : public CoreBase
         Squashed,  ///< mispredicted poisoned branch: restored checkpoint
     };
     RallyOutcome rallyExec(SliceEntry &entry, size_t pos);
-    void resolveEntry(SliceEntry &entry, size_t pos, const DynInst &di,
-                      RegVal value, Cycle ready_at);
     void rePoisonEntry(const SliceEntry &entry, size_t pos, PoisonMask bits);
 
     // --- epoch control -----------------------------------------------------
-    void enterEpoch(size_t miss_idx);
-    void endEpoch();
     void squash();
     void enterSimpleRunahead();
     void exitSimpleRunahead();
@@ -113,35 +104,16 @@ class ICfpCore : public CoreBase
     // --- configuration & state --------------------------------------------
     ICfpParams icfp_;
 
-    MemOverlay memImage_;
-    RegisterFile rf0_; ///< main register file (checkpointed)
-
-    // Slice-internal value delivery models the scratch register file
-    // (RF1, the borrowed thread context) plus the bypass network.
-    // Consumers are linked to their producers' buffer slots at slice
-    // insertion; when a producer resolves, resolveEntry() broadcasts its
-    // value directly into the (younger, still-buffered) consumer entries
-    // — so WAW clobbering of a shared architectural register between
-    // rally passes cannot mis-deliver, and no per-epoch lookup table is
-    // needed at all (the former std::unordered_map<SeqNum, ...> was a
-    // measurable share of replay time on rally-heavy benchmarks).
-
     ChainedStoreBuffer csb_;
-    SliceBuffer slice_;
     Signature sig_;
-    PendingMissQueue pending_;
 
-    size_t tailIdx_ = 0;     ///< next trace instruction for the tail
-    bool inEpoch_ = false;
-    size_t chkIdx_ = 0;      ///< trace index the checkpoint restores to
-    Ssn chkSsnTail_ = 1;     ///< store buffer tail at checkpoint creation
+    Ssn chkSsnTail_ = 1; ///< store buffer tail at checkpoint creation
 
     // Rally pass state.
     bool passActive_ = false;
     PoisonMask passBits_ = 0;
     size_t passPos_ = 0;
     PoisonMask returnedBits_ = 0; ///< returned, not yet given a pass
-    Cycle rallyBlockedUntil_ = 0; ///< blocking-rally load wait
     /**
      * Indexed-limited mode only: a rally pass is stalled on a
      * resolved-but-undrained conflicting store, so the drain gate opens
@@ -149,8 +121,7 @@ class ICfpCore : public CoreBase
      */
     bool rallyStalledOnStore_ = false;
 
-    // Wrong-path / fallback state.
-    bool wrongPath_ = false;          ///< advance past a bad poisoned branch
+    // Simple-runahead fallback state.
     bool simpleRa_ = false;
     bool sraWrongPath_ = false;
     size_t sraStartIdx_ = 0;

@@ -7,22 +7,9 @@ namespace icfp {
 
 SltpCore::SltpCore(const CoreParams &core_params, const MemParams &mem_params,
                    const SltpParams &sltp_params)
-    : CoreBase("sltp", core_params, mem_params),
-      sltp_(sltp_params),
-      slice_(sltp_params.sliceEntries)
+    : SliceCore("sltp", core_params, mem_params, sltp_params.sliceEntries),
+      sltp_(sltp_params)
 {
-}
-
-void
-SltpCore::enterEpoch(size_t miss_idx)
-{
-    ICFP_ASSERT(!inEpoch_);
-    rf0_.checkpoint();
-    chkIdx_ = miss_idx;
-    inEpoch_ = true;
-    inRally_ = false;
-    wrongPath_ = false;
-    ++result_.advanceEntries;
 }
 
 void
@@ -36,39 +23,6 @@ SltpCore::beginRally()
     // drains (Section 4) — their re-fetch cost is SLTP's signature
     // overhead (e.g. galgel).
     mem_.dcache().flushPinned();
-}
-
-void
-SltpCore::endEpoch()
-{
-    ICFP_ASSERT(inEpoch_);
-    ICFP_ASSERT(slice_.noneActive());
-    ICFP_ASSERT(!rf0_.anyPoisoned());
-    inEpoch_ = false;
-    inRally_ = false;
-    wrongPath_ = false;
-    pending_.clear();
-}
-
-void
-SltpCore::squash()
-{
-    ICFP_ASSERT(inEpoch_);
-    rf0_.restore();
-    slice_.clear();
-    pending_.clear();
-    while (!srl_.empty() && srl_.back().seq >= chkIdx_)
-        srl_.pop_back();
-    mem_.dcache().flushPinned();
-    bpred_.squashRas();
-
-    inEpoch_ = false;
-    inRally_ = false;
-    wrongPath_ = false;
-    tailIdx_ = chkIdx_;
-    fetchReadyAt_ = cycle_ + params_.squashPenalty;
-    regReady_.fill(cycle_);
-    ++result_.squashes;
 }
 
 const SltpCore::SrlEntry *
@@ -91,23 +45,14 @@ SltpCore::tailLoad(const DynInst &di)
     const SeqNum seq = tailIdx_;
     if (const SrlEntry *st = srlSearch(di.addr, seq)) {
         if (!st->poisoned) {
-            ICFP_ASSERT(st->value == di.result());
-            rf0_.write(di.dst, st->value, seq);
-            setDstReady(di, cycle_ + mem_.params().dcacheHitLatency);
+            writeLoad(di, st->value, cycle_ + mem_.params().dcacheHitLatency);
             return {};
         }
         // Poison propagates from the miss-dependent store (idealized
         // dependence prediction).
-        ICFP_ASSERT(inEpoch_);
         if (slice_.full()) // SLTP stalls; no fallback mode
             return {IssueStep::Stalled, cycle_ + 1};
-        SliceEntry entry = SliceEntry::of(di, seq);
-        entry.src1Captured = true;
-        entry.src1Val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
-        entry.src2Captured = true;
-        slice_.push(entry, 1);
-        rf0_.writePoisoned(di.dst, 1, seq);
-        ++result_.slicedInsts;
+        deferLoad(di, seq, 1);
         return {};
     }
 
@@ -132,47 +77,25 @@ SltpCore::tailLoad(const DynInst &di)
         // Retrying re-runs the cache access, so no idle-skip here.
         if (slice_.full())
             return {IssueStep::Stalled, cycle_ + 1};
-        SliceEntry entry = SliceEntry::of(di, seq);
-        entry.src1Captured = true;
-        entry.src1Val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
-        entry.src2Captured = true;
-        slice_.push(entry, 1);
-        rf0_.writePoisoned(di.dst, 1, seq);
+        deferLoad(di, seq, 1);
         pending_.push(r.doneAt, 1);
-        ++result_.slicedInsts;
         return {};
     }
 
-    const RegVal value = memImage_.read(di.addr);
-    ICFP_ASSERT(value == di.result());
-    rf0_.write(di.dst, value, seq);
-    setDstReady(di, r.doneAt);
+    writeLoad(di, memImage_.read(di.addr), r.doneAt);
     return {};
 }
 
 IssueStep
 SltpCore::divertToSlice(const DynInst &di, PoisonMask poison)
 {
-    ICFP_ASSERT(inEpoch_);
-    const SeqNum seq = tailIdx_;
-
     // SLTP stalls when it runs out of buffering (state-driven: only a
     // rally frees space).
     if (slice_.full() || (di.isStore() && srl_.size() >= sltp_.srlEntries))
         return {IssueStep::Stalled};
 
-    SliceEntry entry = SliceEntry::of(di, seq);
-    entry.src1Captured = di.src1 == kNoReg || rf0_.poison(di.src1) == 0;
-    if (entry.src1Captured && di.src1 != kNoReg)
-        entry.src1Val = rf0_.read(di.src1);
-    else if (!entry.src1Captured)
-        entry.src1Producer = rf0_.lastWriter(di.src1);
-    entry.src2Captured = di.src2 == kNoReg || rf0_.poison(di.src2) == 0;
-    if (entry.src2Captured && di.src2 != kNoReg)
-        entry.src2Val = rf0_.read(di.src2);
-    else if (!entry.src2Captured)
-        entry.src2Producer = rf0_.lastWriter(di.src2);
-
+    const SeqNum seq = tailIdx_;
+    const SliceEntry entry = captureEntry(di, seq);
     if (di.isStore()) {
         // Miss-dependent store: SRL entry with poisoned data. (A poisoned
         // address is handled identically thanks to the oracle dependence
@@ -183,39 +106,7 @@ SltpCore::divertToSlice(const DynInst &di, PoisonMask poison)
         srl_entry.poisoned = true;
         srl_.push_back(srl_entry);
     }
-
-    if (di.isControl()) {
-        entry.pred = bpred_.predict(di);
-        if (entry.pred.predNextPc != di.nextPc)
-            wrongPath_ = true;
-    }
-
-    if (di.hasDst())
-        rf0_.writePoisoned(di.dst, poison, seq);
-
-    slice_.push(entry, poison);
-    ++result_.slicedInsts;
-    return {};
-}
-
-bool
-SltpCore::tailIssueOne(const DynInst &di)
-{
-    const IssueStep step = issueOrDefer(
-        di, inEpoch_, rf0_, tailIdx_,
-        [&](const DynInst &inst, PoisonMask poison) {
-            return divertToSlice(inst, poison);
-        },
-        [&](const DynInst &ld) { return tailLoad(ld); },
-        [&](const DynInst &st) { return tailStore(st); });
-    if (step.outcome == IssueStep::Stalled) {
-        tailWake_ = step.wake;
-        return false;
-    }
-    ++tailIdx_;
-    if (inEpoch_)
-        ++result_.advanceInsts;
-    return true;
+    return divert(entry, di, poison);
 }
 
 IssueStep
@@ -234,7 +125,6 @@ SltpCore::tailStore(const DynInst &di)
         // forward through the cache; the line is pinned.
         mem_.store(di.addr, cycle_);
         mem_.dcache().setPinned(di.addr, true);
-        entry.specWritten = true;
     }
     srl_.push_back(entry);
     return {};
@@ -271,6 +161,7 @@ SltpCore::rallyTick()
     if (slice_.noneActive()) {
         if (srl_.empty()) {
             endEpoch();
+            inRally_ = false;
             rallyDidWork_ = true;
         }
         return;
@@ -287,7 +178,7 @@ SltpCore::rallyTick()
     const Instruction &si = trace_->program->code[di.pc];
 
     // Operand delivery: insert-time captures travel with the entry, and
-    // publish() below delivers producer results straight into younger
+    // resolveEntry() delivers producer results straight into younger
     // entries — the in-order blocking rally guarantees every producer
     // resolved (and delivered) before its consumer executes.
     ICFP_ASSERT(entry.src1Captured && entry.src2Captured);
@@ -302,17 +193,8 @@ SltpCore::rallyTick()
 
     const RegVal a = entry.src1Val;
     const RegVal b = entry.src2Val;
-
-    auto publish = [&](RegVal value, Cycle ready_at) {
-        if (di.hasDst()) {
-            slice_.deliverFrom(pos, value, ready_at);
-            if (rf0_.writeGated(di.dst, value, entry.seq))
-                regReady_[di.dst] = ready_at;
-        }
-        slice_.resolve(pos);
-        ++result_.rallyInsts;
-        rallyDidWork_ = true;
-    };
+    // Every case below does work (a blocking load touches the hierarchy).
+    rallyDidWork_ = true;
 
     switch (di.op) {
       case Opcode::Ld: {
@@ -321,7 +203,8 @@ SltpCore::rallyTick()
         if (const SrlEntry *st = srlSearch(addr, entry.seq)) {
             ICFP_ASSERT(!st->poisoned); // older slices resolved in order
             ICFP_ASSERT(st->value == di.result());
-            publish(st->value, cycle_ + mem_.params().dcacheHitLatency);
+            resolveEntry(entry, pos, di, st->value,
+                         cycle_ + mem_.params().dcacheHitLatency);
             return;
         }
         const MemAccessResult r = mem_.load(addr, cycle_);
@@ -330,12 +213,11 @@ SltpCore::rallyTick()
             // access itself touched the hierarchy, so this cycle counts
             // as active; subsequent cycles sleep until the fill.
             rallyBlockedUntil_ = r.doneAt;
-            rallyDidWork_ = true;
             return;
         }
         const RegVal value = memImage_.read(addr);
         ICFP_ASSERT(value == di.result());
-        publish(value, r.doneAt);
+        resolveEntry(entry, pos, di, value, r.doneAt);
         return;
       }
       case Opcode::St: {
@@ -351,7 +233,6 @@ SltpCore::rallyTick()
         }
         slice_.resolve(pos);
         ++result_.rallyInsts;
-        rallyDidWork_ = true;
         return;
       }
       case Opcode::Beq:
@@ -362,7 +243,6 @@ SltpCore::rallyTick()
         bpred_.resolve(di, entry.pred);
         ++result_.rallyInsts;
         slice_.resolve(pos);
-        rallyDidWork_ = true;
         if (!correct) {
             // The blocking rally resolves strictly in order, so when a
             // poisoned branch turns out mispredicted everything older is
@@ -381,7 +261,7 @@ SltpCore::rallyTick()
       default: {
         const RegVal value = Interpreter::evaluate(di.op, a, b, si.imm);
         ICFP_ASSERT(value == di.result());
-        publish(value, cycle_ + fuLatency(di.op));
+        resolveEntry(entry, pos, di, value, cycle_ + fuLatency(di.op));
         return;
       }
     }
@@ -390,17 +270,9 @@ SltpCore::rallyTick()
 RunResult
 SltpCore::run(const Trace &trace)
 {
-    beginRun(trace);
-    memImage_.reset(&trace.program->initialMemory);
-    rf0_.clearAll();
-    slice_.clear();
+    beginSliceRun(trace);
     srl_.clear();
-    pending_.clear();
-    tailIdx_ = 0;
-    inEpoch_ = false;
     inRally_ = false;
-    wrongPath_ = false;
-    rallyBlockedUntil_ = 0;
 
     while (tailIdx_ < traceLen_ || inEpoch_ || !srl_.empty()) {
         slots_.reset();
@@ -433,26 +305,14 @@ SltpCore::run(const Trace &trace)
                 }
                 // An unsafe head is state-driven (a rally frees it).
             }
-            if (wrongPath_) {
-                // State-driven: the pending miss return starts the rally
-                // that verifies the bad branch.
-            } else if (cycle_ < fetchReadyAt_) {
-                wake = fetchReadyAt_;
-            } else {
-                while (tailIdx_ < traceLen_ &&
-                       slots_.used() < params_.issueWidth) {
-                    tailWake_ = kCycleNever;
-                    if (!tailIssueOne(trace.insts[tailIdx_])) {
-                        wake = std::min(wake, tailWake_);
-                        break;
-                    }
-                    did_work = true;
-                    if (wrongPath_ || cycle_ < fetchReadyAt_)
-                        break;
-                }
-                if (slots_.used() >= params_.issueWidth)
-                    wake = std::min(wake, cycle_ + 1);
-            }
+            if (tailIssue(
+                    &wake,
+                    [&](const DynInst &di, PoisonMask poison) {
+                        return divertToSlice(di, poison);
+                    },
+                    [&](const DynInst &di) { return tailLoad(di); },
+                    [&](const DynInst &di) { return tailStore(di); }))
+                did_work = true;
             // A pending miss return starts the next rally.
             if (inEpoch_)
                 wake = std::min(wake, pending_.nextFillAt());
@@ -461,13 +321,7 @@ SltpCore::run(const Trace &trace)
         advanceClock(did_work, wake);
     }
 
-    ICFP_ASSERT(!rf0_.anyPoisoned());
-    const RegFileState final_regs = rf0_.values();
-    for (int r = 1; r < kNumRegs; ++r)
-        ICFP_ASSERT(final_regs[r] == trace.finalRegs[r]);
-    ICFP_ASSERT(memImage_.delta() == trace.finalDelta);
-
-    return finishRun();
+    return finishSliceRun();
 }
 
 } // namespace icfp

@@ -29,16 +29,13 @@
 
 #include <deque>
 
-#include "core/core_base.hh"
-#include "core/register_file.hh"
-#include "icfp/poison.hh"
-#include "icfp/slice_buffer.hh"
+#include "icfp/slice_core.hh"
 #include "sltp/sltp_params.hh"
 
 namespace icfp {
 
 /** The SLTP core model. */
-class SltpCore : public CoreBase
+class SltpCore : public SliceCore
 {
   public:
     SltpCore(const CoreParams &core_params, const MemParams &mem_params,
@@ -53,16 +50,11 @@ class SltpCore : public CoreBase
         Addr addr = 0;
         RegVal value = 0;
         SeqNum seq = 0;
-        bool poisoned = false;   ///< data not yet produced
-        bool specWritten = false;///< also written (pinned) in the D$
+        bool poisoned = false; ///< data not yet produced
     };
 
-    void enterEpoch(size_t miss_idx);
     void beginRally();
-    void endEpoch();
-    void squash();
 
-    bool tailIssueOne(const DynInst &di);
     IssueStep tailLoad(const DynInst &di);
     IssueStep tailStore(const DynInst &di);
     IssueStep divertToSlice(const DynInst &di, PoisonMask poison);
@@ -72,24 +64,11 @@ class SltpCore : public CoreBase
     const SrlEntry *srlSearch(Addr addr, SeqNum load_seq) const;
 
     SltpParams sltp_;
-
-    MemOverlay memImage_;
-    RegisterFile rf0_;
-    SliceBuffer slice_;
     std::deque<SrlEntry> srl_;
-
-    size_t tailIdx_ = 0;
-    bool inEpoch_ = false;
     bool inRally_ = false;
-    size_t chkIdx_ = 0;
-    bool wrongPath_ = false;
-
-    PendingMissQueue pending_;
-    Cycle rallyBlockedUntil_ = 0;
 
     // Idle-skip bookkeeping (valid within a cycle): next time-driven
-    // attempt cycle when a phase stalls, kCycleNever = state-driven.
-    Cycle tailWake_ = 0;
+    // attempt cycle when the rally stalls, kCycleNever = state-driven.
     bool rallyDidWork_ = false;
     Cycle rallyWake_ = 0;
 };
