@@ -212,7 +212,7 @@ MultipassCore::run(const Trace &trace)
         return AdvanceValue{r.missedL2(), r.doneAt};
     };
     auto advance_store = [&](const DynInst &di, PoisonMask data) {
-        fcache_.write(di.addr, data != 0 ? 0 : di.storeValue(), data != 0);
+        fcache_.write(di.addr, data != 0);
     };
     auto record = [&](const AdvanceStep &step) {
         window_.push_back(WinEntry{!step.poisoned, step.pred});

@@ -21,11 +21,10 @@ RunaheadCache::indexOf(Addr addr) const
 }
 
 void
-RunaheadCache::write(Addr addr, RegVal value, bool poisoned)
+RunaheadCache::write(Addr addr, bool poisoned)
 {
     Entry &entry = entries_[indexOf(addr)];
     entry.addr = addr;
-    entry.value = value;
     entry.poisoned = poisoned;
     entry.valid = true;
 }
@@ -38,7 +37,6 @@ RunaheadCache::read(Addr addr) const
     if (entry.valid && entry.addr == addr) {
         result.hit = true;
         result.poisoned = entry.poisoned;
-        result.value = entry.value;
     }
     return result;
 }

@@ -24,20 +24,23 @@ struct RunaheadCacheResult
 {
     bool hit = false;
     bool poisoned = false;
-    RegVal value = 0;
 };
 
-/** Direct-mapped, word-granular, lossy forwarding cache. */
+/**
+ * Direct-mapped, word-granular, lossy forwarding cache. Replays take
+ * values from the golden trace, so an entry keeps only whether the
+ * store's data was poisoned.
+ */
 class RunaheadCache
 {
   public:
     /** @param entries power of two */
     explicit RunaheadCache(unsigned entries = 256);
 
-    /** Record an advance store (poisoned data allowed). */
-    void write(Addr addr, RegVal value, bool poisoned);
+    /** Record an advance store to @p addr, its data @p poisoned or not. */
+    void write(Addr addr, bool poisoned);
 
-    /** Probe for a forwardable value. */
+    /** Probe for a recorded store to @p addr. */
     RunaheadCacheResult read(Addr addr) const;
 
     /** Drop everything (episode end). */
@@ -47,7 +50,6 @@ class RunaheadCache
     struct Entry
     {
         Addr addr = 0;
-        RegVal value = 0;
         bool poisoned = false;
         bool valid = false;
     };

@@ -90,7 +90,7 @@ RunaheadCore::run(const Trace &trace)
         return AdvanceValue{poison, r.doneAt};
     };
     auto advance_store = [&](const DynInst &di, PoisonMask data) {
-        rcache_.write(di.addr, data != 0 ? 0 : di.storeValue(), data != 0);
+        rcache_.write(di.addr, data != 0);
     };
 
     while (idx < traceLen_) {

@@ -13,6 +13,7 @@
 #include "isa/interpreter.hh"
 #include "isa/program.hh"
 #include "multipass/multipass_core.hh"
+#include "runahead/runahead_cache.hh"
 #include "runahead/runahead_core.hh"
 #include "sim/simulator.hh"
 #include "sltp/sltp_core.hh"
@@ -434,6 +435,30 @@ TEST(SharedPipeline, AdvanceModesPinnedOffDefaults)
         EXPECT_EQ(r.mem.dcacheMisses, pin.dcacheMisses) << what;
         EXPECT_EQ(r.mem.l2Misses, pin.l2Misses) << what;
     }
+}
+
+TEST(RunaheadCache, HitPoisonConflictClear)
+{
+    // 4 entries: words 0x20, 0x21 and 0x24 index to 0, 1 and 0.
+    RunaheadCache cache(4);
+    EXPECT_FALSE(cache.read(0x100).hit);
+    cache.write(0x100, false);
+    cache.write(0x108, true);
+    EXPECT_TRUE(cache.read(0x100).hit);
+    EXPECT_FALSE(cache.read(0x100).poisoned);
+    EXPECT_TRUE(cache.read(0x108).hit);
+    EXPECT_TRUE(cache.read(0x108).poisoned);
+
+    // A store to another address with the same index evicts the first.
+    cache.write(0x120, true);
+    EXPECT_FALSE(cache.read(0x100).hit);
+    EXPECT_TRUE(cache.read(0x120).hit);
+    EXPECT_TRUE(cache.read(0x120).poisoned);
+    EXPECT_TRUE(cache.read(0x108).hit);
+
+    cache.clear();
+    for (const Addr addr : {Addr{0x100}, Addr{0x108}, Addr{0x120}})
+        EXPECT_FALSE(cache.read(addr).hit) << addr;
 }
 
 } // namespace
