@@ -4,14 +4,18 @@
  * correctness of both threads through the shared pipeline (the model
  * asserts both threads' final memory deltas internally), fairness/round-robin
  * behaviour, cache interference, and the throughput relations that make
- * the Section 6 trade meaningful.
+ * the Section 6 trade meaningful, plus exact cycle pins: smt_tradeoff's
+ * pairs, and the one-thread case against the in-order core.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "smt/smt_core.hh"
 #include "sim/simulator.hh"
 #include "workloads/kernels.hh"
+#include "workloads/spec_analogs.hh"
 
 namespace icfp {
 namespace {
@@ -115,6 +119,99 @@ TEST(SmtCore, SingleThreadDegenerateCase)
     SmtInOrderCore core(cfg.core, cfg.mem);
     const SmtRunResult r = core.run(real, stub);
     EXPECT_LT(r.finishedAt[0], alone + alone / 10);
+}
+
+/** The default config, and one whose 2-entry store buffer fills. */
+std::vector<SimConfig>
+pinConfigs()
+{
+    SimConfig small_sb;
+    small_sb.core.storeBufferEntries = 2;
+    return {SimConfig{}, small_sb};
+}
+
+/** A trace with no instructions: a thread that is done from cycle 0. */
+Trace
+idleTrace()
+{
+    ProgramBuilder b(64);
+    b.halt();
+    return Interpreter::run(std::move(b).build("idle"), 0);
+}
+
+TEST(SmtCore, SmtTradeoffPairsArePinned)
+{
+    // smt_tradeoff's golden table prints IPC to two decimals, so its six
+    // pairs are pinned exactly here at 20k insts: at the default config
+    // and with a 2-entry store buffer, whose full-buffer retry moves
+    // swim+gzip. Like the goldens, they move only with a
+    // kSimSemanticsVersion bump.
+    struct Pin
+    {
+        const char *t0, *t1;
+        unsigned storeBufferEntries;
+        Cycle cycles, finished0, finished1;
+    };
+    static constexpr Pin kPins[] = {
+        {"mcf", "mcf", 32, 448630, 448310, 448630},
+        {"mcf", "equake", 32, 446912, 446912, 24400},
+        {"equake", "equake", 32, 31200, 31200, 30848},
+        {"swim", "gzip", 32, 27286, 27286, 20552},
+        {"gzip", "gzip", 32, 22106, 22106, 21785},
+        {"mesa", "mcf", 32, 446198, 18415, 446198},
+        {"mcf", "mcf", 2, 448630, 448310, 448630},
+        {"mcf", "equake", 2, 446912, 446912, 24400},
+        {"equake", "equake", 2, 31200, 31200, 30848},
+        {"swim", "gzip", 2, 27592, 27592, 20442},
+        {"gzip", "gzip", 2, 22106, 22106, 21785},
+        {"mesa", "mcf", 2, 446198, 18415, 446198},
+    };
+    std::map<std::string, Trace> traces;
+    auto trace = [&](const std::string &bench) -> const Trace & {
+        auto it = traces.find(bench);
+        if (it == traces.end())
+            it = traces.emplace(bench, makeBenchTrace(findBenchmark(bench),
+                                                      20000)).first;
+        return it->second;
+    };
+    for (const Pin &pin : kPins) {
+        CoreParams core;
+        core.storeBufferEntries = pin.storeBufferEntries;
+        SmtInOrderCore smt(core, MemParams{});
+        const SmtRunResult r = smt.run(trace(pin.t0), trace(pin.t1));
+        const std::string what = std::string(pin.t0) + "+" + pin.t1 +
+                                 " sb=" +
+                                 std::to_string(pin.storeBufferEntries);
+        EXPECT_EQ(r.cycles, pin.cycles) << what;
+        EXPECT_EQ(r.finishedAt[0], pin.finished0) << what;
+        EXPECT_EQ(r.finishedAt[1], pin.finished1) << what;
+    }
+}
+
+TEST(SmtCore, EmptySiblingIsTheInOrderCore)
+{
+    // With nothing to share, the SMT pipeline is the in-order baseline:
+    // the busy thread finishes at the in-order core's exact cycle count,
+    // in either slot, including on the full-store-buffer path.
+    const Trace idle = idleTrace();
+    for (const char *bench :
+         {"mcf", "swim", "art", "gcc", "graph.bfs", "join.probe"}) {
+        const Trace t = makeBenchTrace(findBenchmark(bench), 20000);
+        for (const SimConfig &cfg : pinConfigs()) {
+            const Cycle io = simulate(CoreKind::InOrder, cfg, t).cycles;
+            const std::string what =
+                std::string(bench) +
+                " sb=" + std::to_string(cfg.core.storeBufferEntries);
+            SmtInOrderCore first(cfg.core, cfg.mem);
+            const SmtRunResult r0 = first.run(t, idle);
+            EXPECT_EQ(r0.cycles, io) << what;
+            EXPECT_EQ(r0.finishedAt[0], io) << what;
+            SmtInOrderCore second(cfg.core, cfg.mem);
+            const SmtRunResult r1 = second.run(idle, t);
+            EXPECT_EQ(r1.cycles, io) << what;
+            EXPECT_EQ(r1.finishedAt[1], io) << what;
+        }
+    }
 }
 
 } // namespace
