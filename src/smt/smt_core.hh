@@ -10,7 +10,12 @@
  * priority, a shared memory hierarchy (threads are distinguished by an
  * address-space tag, so they interfere in the caches exactly as SMT
  * threads do), and per-thread register scoreboards, branch units, and
- * store buffers.
+ * store buffers. Every instruction issues through CoreBase::issueInOrder,
+ * the baseline's own step: CoreBase's one-thread state (scoreboard,
+ * front-end redirect, branch unit) always belongs to the issuing thread,
+ * and the other thread's copy is parked and swapped in when the issuing
+ * thread changes. With an idle sibling the core is the in-order baseline,
+ * which run(const Trace &) exposes.
  *
  * `icfp-sim figure smt_tradeoff` uses it to print, per workload pair, the
  * two-thread throughput against single-thread iCFP performance — the
@@ -22,7 +27,6 @@
 #define ICFP_SMT_SMT_CORE_HH
 
 #include <array>
-#include <string>
 
 #include "bpred/branch_unit.hh"
 #include "core/core_base.hh"
@@ -56,11 +60,13 @@ struct SmtRunResult
 };
 
 /** Two-thread SMT version of the in-order baseline. */
-class SmtInOrderCore
+class SmtInOrderCore : public CoreBase
 {
   public:
     SmtInOrderCore(const CoreParams &core_params,
-                   const MemParams &mem_params);
+                   const MemParams &mem_params)
+        : CoreBase("smt-in-order", core_params, mem_params)
+    {}
 
     /**
      * Run both traces to completion through the shared pipeline.
@@ -69,40 +75,44 @@ class SmtInOrderCore
      */
     SmtRunResult run(const Trace &t0, const Trace &t1);
 
+    /** The one-thread case: @p trace in thread 0 beside an idle thread. */
+    RunResult run(const Trace &trace) override;
+
   private:
-    /** Per-thread architectural and front-end state. */
+    /** What each thread keeps to itself. */
     struct ThreadContext
     {
-        const Trace *trace = nullptr;
-        size_t idx = 0;          ///< next instruction to issue
-        std::array<Cycle, kNumRegs> regReady{};
-        Cycle fetchReadyAt = 0;
-        std::unique_ptr<BranchUnit> bpred;
-        std::unique_ptr<SimpleStoreBuffer> sb;
+        ThreadContext(const Trace &t, unsigned store_buffer_entries)
+            : trace(&t), sb(store_buffer_entries),
+              memory(&t.program->initialMemory)
+        {}
+
+        const Trace *trace;
+        size_t idx = 0; ///< next instruction to issue
+        SimpleStoreBuffer sb;
         MemOverlay memory;
         Cycle finishedAt = 0;
 
         bool done() const { return idx >= trace->size(); }
     };
 
-    /** Physical address with the thread's address-space tag. */
-    static Addr
-    taggedAddr(unsigned tid, Addr addr)
+    /** CoreBase's one-thread state, held for the thread not issuing. */
+    struct ParkedState
     {
-        return addr | (Addr{tid} << 40);
-    }
+        std::array<Cycle, kNumRegs> regReady{};
+        Cycle fetchReadyAt = 0;
+        BranchUnit bpred;
+    };
 
     /**
-     * Try to issue the next instruction of @p thread.
+     * Try to issue the next instruction of thread @p tid, first making
+     * its one-thread state CoreBase's.
      * @return true if it issued (slot consumed)
      */
-    bool issueOne(unsigned tid, ThreadContext *thread);
+    bool issueOne(unsigned tid, ThreadContext &thread);
 
-    CoreParams params_;
-    MemHierarchy mem_;
-    IssueSlots slots_;
-    Cycle cycle_ = 0;
-    std::array<ThreadContext, 2> threads_;
+    ParkedState parked_;
+    unsigned active_ = 0; ///< the thread whose state CoreBase holds
 };
 
 } // namespace icfp

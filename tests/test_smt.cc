@@ -214,5 +214,29 @@ TEST(SmtCore, EmptySiblingIsTheInOrderCore)
     }
 }
 
+TEST(SmtCore, OneThreadRunIsTheInOrderRun)
+{
+    // CoreBase's run(trace) is the one-thread case: beside an idle
+    // sibling, every count the in-order core reports comes out the same.
+    for (const char *bench : {"mcf", "gcc", "kv.cold"}) {
+        const Trace t = makeBenchTrace(findBenchmark(bench), 20000);
+        for (const SimConfig &cfg : pinConfigs()) {
+            const RunResult io = simulate(CoreKind::InOrder, cfg, t);
+            SmtInOrderCore smt(cfg.core, cfg.mem);
+            const RunResult r = smt.run(t);
+            const std::string what =
+                std::string(bench) +
+                " sb=" + std::to_string(cfg.core.storeBufferEntries);
+            EXPECT_EQ(r.cycles, io.cycles) << what;
+            EXPECT_EQ(r.instructions, io.instructions) << what;
+            EXPECT_EQ(r.mem.dcacheMisses, io.mem.dcacheMisses) << what;
+            EXPECT_EQ(r.mem.l2Misses, io.mem.l2Misses) << what;
+            EXPECT_EQ(r.branch.condMispredicts, io.branch.condMispredicts)
+                << what;
+            EXPECT_EQ(r.branch.btbMisses, io.branch.btbMisses) << what;
+        }
+    }
+}
+
 } // namespace
 } // namespace icfp
