@@ -963,14 +963,40 @@ cmdServe(const Options &opt)
     return 0;
 }
 
-/** The --timeout/--retries pair every client verb passes through. */
-service::ClientOptions
-clientOptions(const Options &opt)
+/**
+ * The daemon verbs' one request path. Connect with --timeout/--retries
+ * and run @p body (`int(ServiceClient &)`) for the verb's exit status. A
+ * ProtocolError anywhere, including one expectFrame() throws, prints
+ * `VERB: REASON` and the verb exits 1.
+ */
+template <typename Body>
+int
+clientVerb(const Options &opt, Body &&body)
 {
-    service::ClientOptions copt;
-    copt.timeoutSec = static_cast<unsigned>(opt.timeoutSec);
-    copt.retries = static_cast<unsigned>(opt.retries);
-    return copt;
+    try {
+        service::ClientOptions copt;
+        copt.timeoutSec = static_cast<unsigned>(opt.timeoutSec);
+        copt.retries = static_cast<unsigned>(opt.retries);
+        service::ServiceClient client(opt.socket, copt);
+        return body(client);
+    } catch (const service::ProtocolError &e) {
+        std::fprintf(stderr, "%s: %s\n", opt.verb->name, e.what());
+        return 1;
+    }
+}
+
+/**
+ * @p response, if its type is @p expect. Otherwise throw the error
+ * frame's message, or "unexpected 'TYPE' response", for clientVerb to
+ * print.
+ */
+service::Frame
+expectFrame(service::Frame response, const std::string &expect)
+{
+    if (response.type() != expect)
+        throw service::ProtocolError(response.stringField(
+            "message", "unexpected '" + response.type() + "' response"));
+    return response;
 }
 
 int
@@ -987,8 +1013,7 @@ cmdSubmit(const Options &opt)
     // to land.
     if (!outWritable(opt))
         return 1;
-    try {
-        service::ServiceClient client(opt.socket, clientOptions(opt));
+    return clientVerb(opt, [&](service::ServiceClient &client) {
         service::Frame request("submit");
         if (opt.given(&Options::suite))
             request.addString("suite", opt.suite);
@@ -1014,13 +1039,7 @@ cmdSubmit(const Options &opt)
                                                                 0));
             return 1;
         }
-        if (response.type() != "submitted") {
-            std::fprintf(stderr, "submit: %s\n",
-                         response.stringField("message", "unexpected '" +
-                                              response.type() +
-                                              "' response").c_str());
-            return 1;
-        }
+        expectFrame(response, "submitted");
         const uint64_t job = response.uintField("job", 0);
         const std::string trace_file = response.stringField("trace_file");
         std::fprintf(stderr, "submit: job %llu (fp=%s, %llu rows)%s%s\n",
@@ -1031,110 +1050,72 @@ cmdSubmit(const Options &opt)
                      trace_file.c_str());
         if (!opt.wait)
             return 0;
-
-        const service::Frame result = client.readFrame();
-        if (result.type() != "result") {
-            std::fprintf(stderr, "submit: %s\n",
-                         result.stringField("message", "unexpected '" +
-                                            result.type() +
-                                            "' response").c_str());
-            return 1;
-        }
-        return emitPayload(opt, result.stringField("payload"));
-    } catch (const service::ProtocolError &e) {
-        std::fprintf(stderr, "submit: %s\n", e.what());
-        return 1;
-    }
+        return emitPayload(opt, expectFrame(client.readFrame(), "result")
+                                    .stringField("payload"));
+    });
 }
 
 /** `status` without --job: the daemon's own status frame — queue
  *  occupancy, identity, per-peer federation health. --json dumps the
  *  frame verbatim (machine-readable, stable field names). */
 int
-cmdDaemonStatus(const Options &opt)
+cmdDaemonStatus(const Options &opt, const service::Frame &response)
 {
-    try {
-        service::ServiceClient client(opt.socket, clientOptions(opt));
-        const service::Frame response =
-            client.request(service::Frame("status"));
-        if (response.type() != "status") {
-            std::fprintf(stderr, "status: %s\n",
-                         response.stringField("message", "unexpected '" +
-                                              response.type() +
-                                              "' response").c_str());
-            return 1;
-        }
-        if (opt.json) {
-            std::printf("%s\n", response.serialize().c_str());
-            return 0;
-        }
-        std::printf("daemon: proto=%llu fp=%s active=%llu/%llu "
-                    "queued=%llu completed=%llu failed=%llu%s\n",
-                    (unsigned long long)response.uintField("proto", 0),
-                    response.stringField("fp").c_str(),
-                    (unsigned long long)response.uintField("active", 0),
-                    (unsigned long long)response.uintField("queue_depth",
-                                                           0),
-                    (unsigned long long)response.uintField("queued", 0),
-                    (unsigned long long)response.uintField("completed",
-                                                           0),
-                    (unsigned long long)response.uintField("failed", 0),
-                    response.uintField("draining", 0) ? " draining"
-                                                      : "");
-        if (response.has("running_job")) {
-            std::printf("running: job %llu\n",
-                        (unsigned long long)response.uintField(
-                            "running_job", 0));
-        }
-        const uint64_t peers = response.uintField("peers", 0);
-        for (uint64_t i = 0; i < peers; ++i) {
-            const std::string p = "peer" + std::to_string(i);
-            const std::string error = response.stringField(p + "_error");
-            std::printf("peer %s: %s rtt=%lluus inflight=%llu "
-                        "active=%llu/%llu%s%s\n",
-                        response.stringField(p).c_str(),
-                        response.stringField(p + "_state").c_str(),
-                        (unsigned long long)response.uintField(
-                            p + "_rtt_us", 0),
-                        (unsigned long long)response.uintField(
-                            p + "_inflight", 0),
-                        (unsigned long long)response.uintField(
-                            p + "_active", 0),
-                        (unsigned long long)response.uintField(
-                            p + "_depth", 0),
-                        error.empty() ? "" : " — ", error.c_str());
-        }
+    if (opt.json) {
+        std::printf("%s\n", response.serialize().c_str());
         return 0;
-    } catch (const service::ProtocolError &e) {
-        std::fprintf(stderr, "status: %s\n", e.what());
-        return 1;
     }
+    std::printf("daemon: proto=%llu fp=%s active=%llu/%llu "
+                "queued=%llu completed=%llu failed=%llu%s\n",
+                (unsigned long long)response.uintField("proto", 0),
+                response.stringField("fp").c_str(),
+                (unsigned long long)response.uintField("active", 0),
+                (unsigned long long)response.uintField("queue_depth", 0),
+                (unsigned long long)response.uintField("queued", 0),
+                (unsigned long long)response.uintField("completed", 0),
+                (unsigned long long)response.uintField("failed", 0),
+                response.uintField("draining", 0) ? " draining" : "");
+    if (response.has("running_job")) {
+        std::printf("running: job %llu\n",
+                    (unsigned long long)response.uintField("running_job",
+                                                           0));
+    }
+    const uint64_t peers = response.uintField("peers", 0);
+    for (uint64_t i = 0; i < peers; ++i) {
+        const std::string p = "peer" + std::to_string(i);
+        const std::string error = response.stringField(p + "_error");
+        std::printf("peer %s: %s rtt=%lluus inflight=%llu "
+                    "active=%llu/%llu%s%s\n",
+                    response.stringField(p).c_str(),
+                    response.stringField(p + "_state").c_str(),
+                    (unsigned long long)response.uintField(p + "_rtt_us",
+                                                           0),
+                    (unsigned long long)response.uintField(p + "_inflight",
+                                                           0),
+                    (unsigned long long)response.uintField(p + "_active",
+                                                           0),
+                    (unsigned long long)response.uintField(p + "_depth",
+                                                           0),
+                    error.empty() ? "" : " — ", error.c_str());
+    }
+    return 0;
 }
 
 int
 cmdStatusOrResult(const Options &opt)
 {
     const std::string verb = opt.verb->name; // "status" or "result"
-    if (!opt.given(&Options::jobId))
-        return cmdDaemonStatus(opt); // only status: result requires --job
-    try {
-        service::ServiceClient client(opt.socket, clientOptions(opt));
+    return clientVerb(opt, [&](service::ServiceClient &client) {
         service::Frame request(verb);
+        // Only status goes without --job: result requires it.
+        if (!opt.given(&Options::jobId))
+            return cmdDaemonStatus(
+                opt, expectFrame(client.request(request), "status"));
         request.addUint("job", opt.jobId);
-        const service::Frame response = client.request(request);
-        if (response.type() == "error") {
-            std::fprintf(stderr, "%s: %s\n", verb.c_str(),
-                         response.stringField("message").c_str());
-            return 1;
-        }
-        if (verb == "result") {
-            if (response.type() != "result") {
-                std::fprintf(stderr, "result: unexpected '%s' response\n",
-                             response.type().c_str());
-                return 1;
-            }
+        const service::Frame response =
+            expectFrame(client.request(request), verb);
+        if (verb == "result")
             return emitPayload(opt, response.stringField("payload"));
-        }
         if (opt.json) {
             std::printf("%s\n", response.serialize().c_str());
             return 0;
@@ -1145,30 +1126,17 @@ cmdStatusOrResult(const Options &opt)
                     response.uintField("cached", 0) ? " (cached)" : "",
                     response.stringField("fp").c_str());
         return 0;
-    } catch (const service::ProtocolError &e) {
-        std::fprintf(stderr, "%s: %s\n", verb.c_str(), e.what());
-        return 1;
-    }
+    });
 }
 
 int
 cmdCancel(const Options &opt)
 {
-    try {
-        service::ServiceClient client(opt.socket, clientOptions(opt));
+    return clientVerb(opt, [&](service::ServiceClient &client) {
         service::Frame request("cancel");
         request.addUint("job", opt.jobId);
-        const service::Frame response = client.request(request);
-        if (response.type() == "error") {
-            std::fprintf(stderr, "cancel: %s\n",
-                         response.stringField("message").c_str());
-            return 1;
-        }
-        if (response.type() != "cancelled") {
-            std::fprintf(stderr, "cancel: unexpected '%s' response\n",
-                         response.type().c_str());
-            return 1;
-        }
+        const service::Frame response =
+            expectFrame(client.request(request), "cancelled");
         const std::string was = response.stringField("was");
         std::printf("job %llu cancelled (%s%s)\n",
                     (unsigned long long)response.uintField("job", 0),
@@ -1176,28 +1144,20 @@ cmdCancel(const Options &opt)
                     was == "running" ? "; stops at the next row boundary"
                                      : "");
         return 0;
-    } catch (const service::ProtocolError &e) {
-        std::fprintf(stderr, "cancel: %s\n", e.what());
-        return 1;
-    }
+    });
 }
 
 int
 cmdPing(const Options &opt)
 {
-    try {
-        service::ServiceClient client(opt.socket, clientOptions(opt));
+    return clientVerb(opt, [&](service::ServiceClient &client) {
         const auto sent = std::chrono::steady_clock::now();
-        const service::Frame pong = client.request(service::Frame("ping"));
+        const service::Frame pong =
+            expectFrame(client.request(service::Frame("ping")), "pong");
         const auto rtt_us =
             std::chrono::duration_cast<std::chrono::microseconds>(
                 std::chrono::steady_clock::now() - sent)
                 .count();
-        if (pong.type() != "pong") {
-            std::fprintf(stderr, "ping: unexpected '%s' response\n",
-                         pong.type().c_str());
-            return 1;
-        }
         std::printf("pong: proto=%llu sim=%llu fp=%s rtt_us=%lld\n",
                     (unsigned long long)pong.uintField("proto", 0),
                     (unsigned long long)client.hello().uintField("sim", 0),
@@ -1213,33 +1173,21 @@ cmdPing(const Options &opt)
                          pong.stringField("fp").c_str(), mine.c_str());
         }
         return 0;
-    } catch (const service::ProtocolError &e) {
-        std::fprintf(stderr, "ping: %s\n", e.what());
-        return 1;
-    }
+    });
 }
 
 int
 cmdMetrics(const Options &opt)
 {
-    try {
-        service::ServiceClient client(opt.socket, clientOptions(opt));
+    return clientVerb(opt, [&](service::ServiceClient &client) {
         service::Frame request("metrics");
         request.addString("format", opt.json ? "json" : "text");
-        const service::Frame response = client.request(request);
-        if (response.type() != "metrics") {
-            std::fprintf(stderr, "metrics: %s\n",
-                         response.stringField("message", "unexpected '" +
-                                              response.type() +
-                                              "' response").c_str());
-            return 1;
-        }
-        std::fputs(response.stringField("payload").c_str(), stdout);
+        std::fputs(expectFrame(client.request(request), "metrics")
+                       .stringField("payload")
+                       .c_str(),
+                   stdout);
         return 0;
-    } catch (const service::ProtocolError &e) {
-        std::fprintf(stderr, "metrics: %s\n", e.what());
-        return 1;
-    }
+    });
 }
 
 int
