@@ -27,6 +27,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -265,7 +266,8 @@ class ServiceTest : public ::testing::Test
     static std::string directSweep(const std::string &benches,
                                    const std::string &cores,
                                    uint64_t insts,
-                                   const std::string &format = "csv")
+                                   const std::string &format = "csv",
+                                   std::optional<uint64_t> seed = {})
     {
         SweepSpec spec;
         spec.benches = splitCommaList(benches);
@@ -279,6 +281,7 @@ class ServiceTest : public ::testing::Test
                     {name, *parseCoreKind(name), cfg});
         }
         spec.insts = insts;
+        spec.seed = seed;
         SweepEngine engine(2);
         engine.setTraceStore(nullptr); // hermetic
         const std::vector<SweepResult> results = engine.run(spec);
@@ -1024,6 +1027,127 @@ TEST_F(ServiceTest, CancelRunningJobStopsAtRowBoundary)
     server.requestDrain();
     server.join();
     EXPECT_EQ(server.stats().cancelled, 1u);
+}
+
+TEST_F(ServiceTest, InterleavedSubmitsAndCancelsFromFourClients)
+{
+    // Four clients on one daemon whose engine runs four workers. Each
+    // interleaves wait-submits with submit-then-cancel pairs, every job
+    // on its own seed, so no result is served from the cache.
+    Server server(options(4, 16));
+    server.start();
+
+    constexpr size_t kClients = 4;
+    constexpr size_t kOps = 25;
+    const std::vector<std::string> pairs = {"mcf,gzip", "equake,vpr",
+                                            "art,graph.bfs", "twolf,mcf"};
+    struct Outcome
+    {
+        std::string benches;
+        uint64_t insts = 0;
+        uint64_t seed = 0;
+        bool cancelled = false;
+        std::string payload;
+        std::string problem; ///< empty when the daemon answered right
+    };
+    std::vector<std::vector<Outcome>> outcomes(kClients);
+    std::vector<std::thread> clients;
+    for (size_t c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+            // A deadline turns a job that never answers into a failure
+            // instead of a hang.
+            ClientOptions patient;
+            patient.timeoutSec = 300;
+            try {
+                ServiceClient waiter(socket_, patient);
+                ServiceClient control(socket_, patient);
+                for (size_t k = 0; k < kOps; ++k) {
+                    Outcome o;
+                    o.benches = pairs[(c + k) % pairs.size()];
+                    const bool cancel = k % 3 == 1;
+                    o.insts = cancel ? 100000 : 2000;
+                    o.seed = 1 + c * kOps + k;
+                    Frame submit =
+                        submitFrame(o.benches, "in-order,icfp", o.insts,
+                                    true);
+                    submit.addUint("seed", o.seed);
+                    Frame ack = waiter.request(submit);
+                    while (ack.type() == "busy") {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(5));
+                        ack = waiter.request(submit);
+                    }
+                    if (ack.type() != "submitted") {
+                        o.problem = "submit answered " + ack.type();
+                        outcomes[c].push_back(std::move(o));
+                        return;
+                    }
+                    if (cancel && k % 2 == 0) {
+                        // Every other cancel waits until the job has
+                        // left the queue, so it lands mid-run (or just
+                        // after the run).
+                        Frame status("status");
+                        status.addUint("job", ack.uintField("job", 0));
+                        while (control.request(status).stringField(
+                                   "state") == "queued")
+                            std::this_thread::sleep_for(
+                                std::chrono::milliseconds(1));
+                    }
+                    if (cancel) {
+                        Frame frame("cancel");
+                        frame.addUint("job", ack.uintField("job", 0));
+                        // "cancelled", or an error when the job already
+                        // finished; never silence.
+                        const std::string answer =
+                            control.request(frame).type();
+                        if (answer != "cancelled" && answer != "error")
+                            o.problem = "cancel answered " + answer;
+                    }
+                    const Frame result = waiter.readFrame();
+                    const std::string message = result.stringField("message");
+                    if (result.type() == "result") {
+                        o.payload = result.stringField("payload");
+                    } else if (cancel && message.find(" cancelled") !=
+                                             std::string::npos) {
+                        o.cancelled = true;
+                    } else {
+                        o.problem = result.type() + ": " + message;
+                    }
+                    outcomes[c].push_back(std::move(o));
+                }
+            } catch (const std::exception &e) {
+                Outcome o;
+                o.problem = std::string("client threw: ") + e.what();
+                outcomes[c].push_back(std::move(o));
+            }
+        });
+    }
+    for (std::thread &thread : clients)
+        thread.join();
+
+    server.requestDrain();
+    server.join();
+
+    uint64_t cancelled = 0;
+    for (size_t c = 0; c < kClients; ++c) {
+        ASSERT_EQ(outcomes[c].size(), kOps) << "client " << c;
+        for (const Outcome &o : outcomes[c]) {
+            ASSERT_EQ(o.problem, "") << "client " << c << " seed " << o.seed;
+            if (o.cancelled) {
+                ++cancelled;
+                continue;
+            }
+            EXPECT_EQ(o.payload, directSweep(o.benches, "in-order,icfp",
+                                             o.insts, "csv", o.seed))
+                << o.benches << " seed " << o.seed;
+        }
+    }
+    const ServerStats stats = server.stats();
+    EXPECT_EQ(stats.submitted, kClients * kOps);
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_EQ(stats.cancelled, cancelled);
+    EXPECT_EQ(stats.completed + stats.cancelled, stats.submitted);
+    EXPECT_FALSE(fs::exists(socket_));
 }
 
 TEST_F(ServiceTest, DeadlineExceededAnswersExplicitError)
