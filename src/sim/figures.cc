@@ -139,6 +139,8 @@ fig5Speedup(SweepEngine &engine, uint64_t insts)
                           {"SLTP", CoreKind::Sltp, cfg},
                           {"iCFP", CoreKind::ICfp, cfg}},
                          insts, {}};
+    parallelFor(spec.benches.size(), engine.jobs(),
+                [&](size_t i) { engine.trace(spec.benches[i], insts); });
     std::vector<SweepResult> grid = engine.run(spec);
     SpeedupShape shape;
     shape.baseIpc = true;
@@ -438,6 +440,8 @@ chainTable(SweepEngine &engine, uint64_t insts)
                          {{"chain=512", CoreKind::ICfp, big},
                           {"chain=64", CoreKind::ICfp, small}},
                          insts, {}};
+    parallelFor(spec.benches.size(), engine.jobs(),
+                [&](size_t i) { engine.trace(spec.benches[i], insts); });
     std::vector<SweepResult> grid = engine.run(spec);
 
     Table table("Chain table size sensitivity: 64-entry vs 512-entry");
@@ -518,6 +522,8 @@ table2Diagnostics(SweepEngine &engine, uint64_t insts)
                           {"runahead", CoreKind::Runahead, cfg},
                           {"icfp", CoreKind::ICfp, cfg}},
                          insts, {}};
+    parallelFor(spec.benches.size(), engine.jobs(),
+                [&](size_t i) { engine.trace(spec.benches[i], insts); });
     std::vector<SweepResult> grid = engine.run(spec);
 
     Table table("Table 2: iCFP diagnostics (paper reference values in "
@@ -559,6 +565,8 @@ sec53Ooo(SweepEngine &engine, uint64_t insts)
                           {"ooo", CoreKind::Ooo, cfg},
                           {"cfp", CoreKind::Cfp, cfg}},
                          insts, {}};
+    parallelFor(spec.benches.size(), engine.jobs(),
+                [&](size_t i) { engine.trace(spec.benches[i], insts); });
     std::vector<SweepResult> grid = engine.run(spec);
     SpeedupShape shape;
     shape.baseIpc = true;
@@ -612,8 +620,10 @@ figNonspec(SweepEngine &engine, uint64_t insts)
 // core either runs a second thread or lends its second register file to
 // iCFP. Per workload pair: the 2-thread SMT machine's throughput against
 // single-thread iCFP. The SMT co-runs take two traces, so they run
-// outside the grid, on the engine's threads and trace cache; the grid
-// holds the single-thread runs they are compared with.
+// outside the grid, on the engine's threads; the grid holds the
+// single-thread runs they are compared with. The traces are fetched
+// through trace() before the grid, so the grid borrows them and the
+// co-runs still have them after it.
 FigureOutput
 smtTradeoff(SweepEngine &engine, uint64_t insts)
 {
@@ -631,6 +641,8 @@ smtTradeoff(SweepEngine &engine, uint64_t insts)
                          {{"inorder", CoreKind::InOrder, cfg},
                           {"icfp", CoreKind::ICfp, cfg}},
                          insts, {}};
+    parallelFor(spec.benches.size(), engine.jobs(),
+                [&](size_t i) { engine.trace(spec.benches[i], insts); });
     std::vector<SweepResult> grid = engine.run(spec);
     auto single = [&](const std::string &bench,
                       size_t variant) -> const RunResult & {

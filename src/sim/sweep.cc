@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
+#include <deque>
 #include <exception>
 #include <thread>
 
@@ -214,23 +216,29 @@ SweepEngine::replays() const
     return replays_.load();
 }
 
-const Trace &
-SweepEngine::traceLocked(const TraceKey &key)
+uint64_t
+SweepEngine::peakTracesHeld() const
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = traces_.find(key);
-        if (it != traces_.end()) {
-            static metrics::Counter &memory_hits =
-                metrics::counter("icfp_trace_memory_hits");
-            memory_hits.inc();
-            return *it->second;
-        }
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
+    return peakHeld_;
+}
 
-    // Look up / generate outside the lock; on a key race the first insert
-    // wins and the duplicate is dropped (generation is deterministic, so
-    // both are identical anyway).
+std::shared_ptr<const Trace>
+SweepEngine::cachedTrace(const TraceKey &key)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = traces_.find(key);
+    if (it == traces_.end())
+        return nullptr;
+    static metrics::Counter &memory_hits =
+        metrics::counter("icfp_trace_memory_hits");
+    memory_hits.inc();
+    return it->second;
+}
+
+std::shared_ptr<const Trace>
+SweepEngine::loadOrGenerate(const TraceKey &key)
+{
     // Resolving the spec up front also stamps the benchmark's
     // workload-definition version into the store key, so a stored trace
     // generated by an older definition of this one benchmark can never
@@ -243,44 +251,44 @@ SweepEngine::traceLocked(const TraceKey &key)
         id.seed = std::get<3>(key);
     id.defVersion = spec.defVersion;
 
-    std::unique_ptr<Trace> trace;
     if (store_) {
         if (std::optional<Trace> cached = store_->load(id))
-            trace = std::make_unique<Trace>(std::move(*cached));
+            return std::make_shared<const Trace>(std::move(*cached));
     }
-    if (!trace) {
-        if (id.seed)
-            spec.workload.seed = *id.seed;
-        const uint64_t t0 = metrics::nowMicros();
-        trace = std::make_unique<Trace>(makeBenchTrace(spec, id.insts));
-        // Both ledgers advance together: the per-engine atomic stays
-        // authoritative for this engine's accessors (several engines
-        // can coexist in one process), the registry series aggregates
-        // process-wide for the metrics scrape.
-        generations_.fetch_add(1);
-        static metrics::Counter &generations_total =
-            metrics::counter("icfp_trace_generations");
-        generations_total.inc();
-        metrics::histogram("icfp_trace_gen_duration_us{bench=\"" +
-                               metrics::escapeLabelValue(id.bench) + "\"}",
-                           metrics::latencyBucketsUs())
-            .observe(metrics::nowMicros() - t0);
-        if (store_)
-            store_->store(id, *trace);
-    }
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto [it, inserted] = traces_.emplace(key, std::move(trace));
-    (void)inserted;
-    return *it->second;
+    if (id.seed)
+        spec.workload.seed = *id.seed;
+    const uint64_t t0 = metrics::nowMicros();
+    auto trace = std::make_shared<const Trace>(makeBenchTrace(spec, id.insts));
+    // Both ledgers advance together: the per-engine atomic stays
+    // authoritative for this engine's accessors (several engines can
+    // coexist in one process), the registry series aggregates
+    // process-wide for the metrics scrape.
+    generations_.fetch_add(1);
+    static metrics::Counter &generations_total =
+        metrics::counter("icfp_trace_generations");
+    generations_total.inc();
+    metrics::histogram("icfp_trace_gen_duration_us{bench=\"" +
+                           metrics::escapeLabelValue(id.bench) + "\"}",
+                       metrics::latencyBucketsUs())
+        .observe(metrics::nowMicros() - t0);
+    if (store_)
+        store_->store(id, *trace);
+    return trace;
 }
 
 const Trace &
 SweepEngine::trace(const std::string &bench, uint64_t insts,
                    std::optional<uint64_t> seed)
 {
-    return traceLocked(
-        TraceKey{bench, insts, seed.has_value(), seed.value_or(0)});
+    const TraceKey key{bench, insts, seed.has_value(), seed.value_or(0)};
+    if (std::shared_ptr<const Trace> held = cachedTrace(key))
+        return *held;
+    // Load or generate outside the lock; on a key race the first insert
+    // wins and the duplicate is dropped (generation is deterministic, so
+    // both are identical anyway).
+    std::shared_ptr<const Trace> trace = loadOrGenerate(key);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return *traces_.emplace(key, std::move(trace)).first->second;
 }
 
 std::vector<SweepResult>
@@ -336,40 +344,122 @@ SweepEngine::run(const std::vector<SweepJob> &jobs, uint64_t insts,
     for (const std::string &bench : benches)
         findBenchmark(bench);
 
-    // Cooperative cancellation: polled once per row (bench in phase 1,
-    // grid cell in phase 2). A worker that observes the flag throws
-    // SweepCancelled; parallelFor joins every sibling and rethrows the
-    // first exception, so run() exits cleanly with the engine reusable.
+    // Each bench's cells in grid order, and how many are unfinished.
+    std::vector<std::vector<size_t>> bench_cells(benches.size());
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        const auto b =
+            std::find(benches.begin(), benches.end(), jobs[i].bench);
+        bench_cells[size_t(b - benches.begin())].push_back(i);
+    }
+    std::vector<size_t> unfinished(benches.size());
+    for (size_t b = 0; b < benches.size(); ++b)
+        unfinished[b] = bench_cells[b].size();
+
+    // Cooperative cancellation: polled once per row (before a bench's
+    // trace and before each grid cell). A worker that observes the flag
+    // throws SweepCancelled, which ends the pool like any other error.
     const auto checkCancel = [cancel]() {
         if (cancel && cancel->load(std::memory_order_relaxed))
             throw SweepCancelled();
     };
 
-    // Phase 1: generate each distinct golden trace exactly once, in
-    // parallel across benches.
+    // One pool, no barrier. A worker replays a queued cell if there is
+    // one; otherwise it claims the next bench in first-use order, gets
+    // its trace and queues that bench's cells, each holding the trace.
+    // A bench is claimed only while the queue is empty, when every live
+    // trace is held by a busy worker, so at most jobs_ traces are alive
+    // at once, and each is freed when its last cell finishes. A waiting
+    // worker needs a trace to become ready or a worker to fail: both
+    // notify every waiter, and no worker waits once an error is set.
+    struct Cell
+    {
+        size_t index;
+        size_t bench;
+        std::shared_ptr<const Trace> trace;
+    };
+    std::mutex mutex;
+    std::condition_variable wake;
+    std::deque<Cell> queue;
+    size_t next_bench = 0; ///< benches claimed
+    size_t ready = 0;      ///< claimed benches whose cells are queued
+    size_t held = 0;       ///< claimed benches with unfinished cells
+    size_t peak = 0;
+    std::exception_ptr error;
+    // Each cell writes only its own preallocated slot, so completion
+    // order is free to vary while result order stays fixed.
+    std::vector<SweepResult> results(jobs.size());
     const uint64_t gen_start = metrics::nowMicros();
-    parallelFor(benches.size(), jobs_, [&](size_t i) {
-        checkCancel();
-        trace(benches[i], insts, seed);
-    });
-    const uint64_t gen_end = metrics::nowMicros();
-    if (spans) {
+    uint64_t gen_end = gen_start;
+
+    const auto worker = [&]() {
+        std::unique_lock<std::mutex> lock(mutex);
+        try {
+            while (!error) {
+                if (!queue.empty()) {
+                    Cell cell = std::move(queue.front());
+                    queue.pop_front();
+                    lock.unlock();
+                    checkCancel();
+                    if (ICFP_FAULT_POINT("sweep.job"))
+                        throw std::runtime_error(
+                            "injected fault: sweep job execution failed");
+                    results[cell.index] =
+                        replayCell(jobs[cell.index], *cell.trace);
+                    cell.trace.reset(); // freed before it is counted gone
+                    lock.lock();
+                    if (--unfinished[cell.bench] == 0)
+                        --held;
+                } else if (next_bench < benches.size()) {
+                    const size_t b = next_bench++;
+                    peak = std::max(peak, ++held);
+                    lock.unlock();
+                    checkCancel();
+                    const TraceKey key{benches[b], insts, seed.has_value(),
+                                       seed.value_or(0)};
+                    std::shared_ptr<const Trace> trace = cachedTrace(key);
+                    if (!trace)
+                        trace = loadOrGenerate(key);
+                    lock.lock();
+                    for (const size_t i : bench_cells[b])
+                        queue.push_back({i, b, trace});
+                    if (++ready == benches.size())
+                        gen_end = metrics::nowMicros();
+                    wake.notify_all();
+                } else if (ready < next_bench) {
+                    wake.wait(lock);
+                } else {
+                    return;
+                }
+            }
+        } catch (...) {
+            if (!lock.owns_lock())
+                lock.lock();
+            if (!error)
+                error = std::current_exception();
+            wake.notify_all();
+        }
+    };
+
+    const size_t threads =
+        std::max<size_t>(1, std::min<size_t>(jobs_, jobs.size()));
+    std::vector<std::thread> pool;
+    pool.reserve(threads - 1);
+    for (size_t t = 1; t < threads; ++t)
+        pool.emplace_back(worker);
+    worker();
+    for (std::thread &thread : pool)
+        thread.join();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        peakHeld_ = std::max<uint64_t>(peakHeld_, peak);
+    }
+
+    if (spans && ready == benches.size()) {
         spans->add("trace_gen", gen_start, gen_end,
                    {{"benches", std::to_string(benches.size())}});
     }
-
-    // Phase 2: the grid. Every job only reads its (shared) trace and
-    // writes its own preallocated slot, so completion order is free to
-    // vary while result order stays fixed.
-    std::vector<SweepResult> results(jobs.size());
-    parallelFor(jobs.size(), jobs_, [&](size_t i) {
-        checkCancel();
-        if (ICFP_FAULT_POINT("sweep.job"))
-            throw std::runtime_error(
-                "injected fault: sweep job execution failed");
-        const SweepJob &job = jobs[i];
-        results[i] = replayCell(job, trace(job.bench, insts, seed));
-    });
+    if (error)
+        std::rethrow_exception(error);
     if (spans) {
         spans->add("replay", gen_end, metrics::nowMicros(),
                    {{"rows", std::to_string(jobs.size())}});

@@ -1,10 +1,11 @@
 /**
  * @file
  * The parallel sweep engine: expands a (benchmark × core × config-
- * variant) grid, generates each golden trace exactly once (shared across
- * every model that replays it), executes the independent jobs on a
- * std::thread pool, and returns results in deterministic grid order
- * regardless of thread count.
+ * variant) grid, generates each golden trace exactly once per run
+ * (shared across every model that replays it), executes the independent
+ * jobs on a std::thread pool that frees each trace after its last cell,
+ * and returns results in deterministic grid order regardless of thread
+ * count.
  *
  * Determinism contract: each simulate() call is a pure function of
  * (CoreKind, SimConfig, Trace), trace generation is a pure function of
@@ -169,13 +170,14 @@ class SpanLog; // common/metrics.hh
 /**
  * Thrown by SweepEngine::run() when the caller's cancel flag is
  * observed set. Cancellation is cooperative and checked at row
- * boundaries (per-bench in trace generation, per-grid-cell in replay),
- * so a cancelled sweep stops within one simulate() call and leaves the
- * engine fully reusable — traces already generated stay cached, and
- * the trace store is never left with a partial file (its writes are
- * atomic). This flag is the groundwork for the federation item's
- * straggler re-dispatch: a re-dispatched row's original owner is
- * cancelled exactly this way.
+ * boundaries (before each bench's trace and before each grid cell), so
+ * a cancelled sweep stops within one simulate() call or one trace
+ * generation and leaves the engine fully reusable. The run's traces are
+ * freed with it; a trace it already wrote stays in the trace store,
+ * which is never left with a partial file (its writes are atomic).
+ * This flag is the groundwork for the federation item's straggler
+ * re-dispatch: a re-dispatched row's original owner is cancelled
+ * exactly this way.
  */
 class SweepCancelled : public std::runtime_error
 {
@@ -184,12 +186,16 @@ class SweepCancelled : public std::runtime_error
 };
 
 /**
- * The batch runner. Reusable: traces are cached across run() calls.
+ * The batch runner. Reusable, and it holds no trace between run() calls:
+ * run() frees each trace when that bench's last cell finishes, so a
+ * sweep keeps at most jobs() traces in memory at once. Only trace()
+ * caches by name, for callers that want a trace outside the grid; run()
+ * borrows a trace trace() already holds but never adds one.
  *
- * Trace lookups go memory cache → persistent TraceStore → generation.
- * By default the engine attaches the environment-configured store
- * (ICFP_TRACE_DIR, see sim/trace_store.hh), so a second sweep over the
- * same grid — even in a fresh process — performs zero generations.
+ * Trace lookups go trace()'s cache → persistent TraceStore →
+ * generation. By default the engine attaches the environment-configured
+ * store (ICFP_TRACE_DIR, see sim/trace_store.hh), so a second sweep over
+ * the same grid — even in a fresh process — performs zero generations.
  */
 class SweepEngine
 {
@@ -216,22 +222,32 @@ class SweepEngine
      *  from its ResultCache advances neither counter. */
     uint64_t replays() const;
 
+    /** The most traces one run() has held at once over this engine's
+     *  lifetime, borrowed ones included: at most jobs(). */
+    uint64_t peakTracesHeld() const;
+
     /** Expand @p spec and run the whole grid; results in grid order. */
     std::vector<SweepResult> run(const SweepSpec &spec);
 
     /**
-     * Run pre-expanded jobs; results in input order. Traces for distinct
-     * benches are generated in parallel, each exactly once, then shared
-     * (read-only) by every job that replays that bench.
+     * Run pre-expanded jobs; results in input order. One pool of jobs()
+     * workers, no barrier: a worker replays a queued cell, or else takes
+     * the next bench in first-use order, loads or generates its trace
+     * exactly once and queues that bench's cells, which share the trace
+     * read-only. A new trace starts only when no cell is queued, and each
+     * is freed when its last cell finishes. The first error (a cancel, a
+     * fault, a failed generation) stops every worker; all of them join
+     * before it is rethrown.
      *
      * @param cancel optional cooperative cancel flag, polled at row
      *        boundaries; when observed set, run() throws SweepCancelled
      *        (see that class for the guarantees)
      * @param spans optional span log: when given, the engine records a
-     *        "trace_gen" and a "replay" phase span (the two parallelFor
-     *        blocks) into it — the service daemon's per-job Chrome
-     *        trace rides on this. Purely observational: results and
-     *        artifacts are byte-identical with or without it.
+     *        "trace_gen" span, from the start until the last trace is
+     *        ready (cells of earlier benches run inside it), and a
+     *        "replay" span from there to the end — the service daemon's
+     *        per-job Chrome trace rides on this. Purely observational:
+     *        results and artifacts are byte-identical with or without it.
      */
     std::vector<SweepResult> run(const std::vector<SweepJob> &jobs,
                                  uint64_t insts,
@@ -249,8 +265,10 @@ class SweepEngine
                                         const std::string &bench_label);
 
     /**
-     * The cached golden trace for @p bench (generating it on first use).
-     * The reference stays valid for the engine's lifetime.
+     * The cached golden trace for @p bench (loading or generating it on
+     * first use). The reference stays valid for the engine's lifetime,
+     * and a later run() over the same bench borrows it instead of
+     * generating again: ask for a trace before run() to keep it after.
      */
     const Trace &trace(const std::string &bench, uint64_t insts,
                        std::optional<uint64_t> seed = std::nullopt);
@@ -260,16 +278,21 @@ class SweepEngine
      *  has-seed flag keeps every seed value usable (no sentinel). */
     using TraceKey = std::tuple<std::string, uint64_t, bool, uint64_t>;
 
-    /** Generate-once trace lookup; thread-safe. */
-    const Trace &traceLocked(const TraceKey &key);
+    /** trace()'s cached copy of @p key, or null; thread-safe. */
+    std::shared_ptr<const Trace> cachedTrace(const TraceKey &key);
+
+    /** The trace for @p key from the store, else generated (and then
+     *  written to the store); caches nothing. Thread-safe. */
+    std::shared_ptr<const Trace> loadOrGenerate(const TraceKey &key);
 
     /** Replay one grid cell on @p trace and bump the replay ledgers
      *  (replays(), icfp_replays, the per-cell duration histogram). */
     SweepResult replayCell(const SweepJob &job, const Trace &trace);
 
     unsigned jobs_;
-    std::mutex mutex_; ///< guards traces_ (map insertions only)
-    std::map<TraceKey, std::unique_ptr<Trace>> traces_;
+    mutable std::mutex mutex_; ///< guards traces_ and peakHeld_
+    std::map<TraceKey, std::shared_ptr<const Trace>> traces_; ///< trace()'s
+    uint64_t peakHeld_ = 0;
     std::shared_ptr<TraceStore> store_;
     std::atomic<uint64_t> generations_{0};
     std::atomic<uint64_t> replays_{0};

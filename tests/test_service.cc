@@ -16,7 +16,8 @@
  * replays; corrupt entries regenerated, never served), job cancel
  * (queued and running) and per-job deadlines, and injected job-level
  * faults answered with explicit error frames while the daemon and a
- * clean resubmit keep working.
+ * clean resubmit keep working. Four clients interleave submits and
+ * cancels on one daemon, and a daemon holds no trace between jobs.
  */
 
 #include <gtest/gtest.h>
@@ -46,6 +47,7 @@
 #include "service/server.hh"
 #include "sim/merge.hh"
 #include "sim/report.hh"
+#include "sim/trace_store.hh"
 #include "sim/version_info.hh"
 
 namespace fs = std::filesystem;
@@ -385,6 +387,31 @@ TEST_F(ServiceTest, RepeatedSubmitHitsResultCacheWithZeroWork)
     const Frame result3 = client.readFrame();
     ASSERT_EQ(result3.type(), "result");
     EXPECT_EQ(result3.uintField("cached", 1), 0u);
+}
+
+TEST_F(ServiceTest, DaemonHoldsNoTraceBetweenJobs)
+{
+    Server server(options());
+    server.start();
+
+    ServiceClient client(socket_);
+    for (const char *core : {"in-order", "icfp"}) {
+        // Same bench, different grid: the result cache cannot answer.
+        ASSERT_EQ(client.request(submitFrame("gzip", core, 2000, true))
+                      .type(),
+                  "submitted");
+        ASSERT_EQ(client.readFrame().type(), "result");
+    }
+    // The first job generated the trace and stored it; the engine freed
+    // it with the job's last cell, so the second job loaded it back from
+    // the store rather than finding it in memory.
+    const TraceStore::Stats store = server.engine().traceStore()->stats();
+    EXPECT_EQ(server.stats().generations, 1u);
+    EXPECT_EQ(store.writes, 1u);
+    EXPECT_EQ(store.hits, 1u);
+
+    server.requestDrain();
+    server.join();
 }
 
 TEST_F(ServiceTest, MalformedAndInvalidRequestsGetErrors)

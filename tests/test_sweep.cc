@@ -3,14 +3,19 @@
  * Sweep-engine tests: grid expansion order, trace-cache sharing (keyed
  * on the full (bench, insts, seed) tuple), the jobs=1 vs jobs=8
  * determinism contract (identical results and identical CSV/JSON
- * bytes) and the parallelFor primitive. The paper figures built on the
- * engine are pinned in tests/test_golden.cc.
+ * bytes), trace lifetime under run() (no trace kept after it, at most
+ * jobs traces at once, trace()'s copies borrowed), a cancel or fault
+ * mid-run, and the parallelFor primitive. The paper figures built on
+ * the engine are pinned in tests/test_golden.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
+#include "common/fault_inject.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
 
@@ -133,6 +138,114 @@ TEST(Sweep, RunOnTraceMatchesBenchRun)
     ASSERT_EQ(via_bench.size(), via_trace.size());
     for (size_t i = 0; i < via_bench.size(); ++i)
         EXPECT_EQ(via_bench[i].result.cycles, via_trace[i].result.cycles);
+}
+
+/** Six benches, so every job count below is smaller than the grid's
+ *  bench count and the trace bound is a real bound; cells long enough
+ *  that a cancel lands well before the grid ends. */
+SweepSpec
+sixBenchSpec()
+{
+    SweepSpec spec = smallSpec();
+    spec.benches = {"mcf", "equake", "gzip", "art", "vpr", "graph.bfs"};
+    spec.insts = 20000;
+    return spec;
+}
+
+TEST(Sweep, RunKeepsNoTraceAfterItReturns)
+{
+    SweepEngine engine(2);
+    engine.setTraceStore(nullptr);
+    const SweepSpec spec = smallSpec();
+    engine.run(spec);
+    EXPECT_EQ(engine.traceGenerations(), spec.benches.size());
+    // The run freed its traces: asking for one generates it again.
+    engine.trace(spec.benches.front(), spec.insts);
+    EXPECT_EQ(engine.traceGenerations(), spec.benches.size() + 1);
+}
+
+TEST(Sweep, RunHoldsAtMostJobsTracesAtOnce)
+{
+    const SweepSpec spec = sixBenchSpec();
+    for (const unsigned jobs : {1u, 2u, 4u}) {
+        SweepEngine engine(jobs);
+        engine.setTraceStore(nullptr);
+        engine.run(spec);
+        EXPECT_GE(engine.peakTracesHeld(), 1u) << "jobs=" << jobs;
+        EXPECT_LE(engine.peakTracesHeld(), jobs) << "jobs=" << jobs;
+        if (jobs == 1) {
+            EXPECT_EQ(engine.peakTracesHeld(), 1u);
+        }
+    }
+}
+
+TEST(Sweep, RunBorrowsTracesFetchedBeforeIt)
+{
+    const SweepSpec spec = smallSpec();
+    SweepEngine engine(4);
+    engine.setTraceStore(nullptr);
+    const Trace &held = engine.trace("equake", spec.insts);
+    EXPECT_EQ(engine.traceGenerations(), 1u);
+    const std::string csv = sweepCsv(engine.run(spec));
+    // Only the two benches not fetched first were generated.
+    EXPECT_EQ(engine.traceGenerations(), spec.benches.size());
+    // trace() still holds its copy after the run.
+    EXPECT_EQ(&engine.trace("equake", spec.insts), &held);
+    EXPECT_EQ(engine.traceGenerations(), spec.benches.size());
+
+    SweepEngine fresh(1);
+    fresh.setTraceStore(nullptr);
+    EXPECT_EQ(csv, sweepCsv(fresh.run(spec)));
+}
+
+TEST(Sweep, CancelMidRunStopsPromptlyAndEngineReruns)
+{
+    const SweepSpec spec = sixBenchSpec();
+    const std::vector<SweepJob> grid = expandGrid(spec);
+    SweepEngine reference(1);
+    reference.setTraceStore(nullptr);
+    const std::string want = sweepCsv(reference.run(spec));
+
+    SweepEngine engine(4);
+    engine.setTraceStore(nullptr);
+    std::atomic<bool> cancel{false};
+    uint64_t done_at_cancel = 0;
+    std::thread watcher([&] {
+        // Cancel once the first cell has finished.
+        while (engine.replays() == 0)
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+        cancel.store(true);
+        done_at_cancel = engine.replays();
+    });
+    EXPECT_THROW(engine.run(grid, spec.insts, spec.seed, &cancel),
+                 SweepCancelled);
+    watcher.join();
+    // Each worker finishes at most the cell it was in.
+    EXPECT_LE(engine.replays(), done_at_cancel + engine.jobs());
+    EXPECT_LT(engine.replays(), grid.size());
+
+    EXPECT_EQ(sweepCsv(engine.run(spec)), want);
+}
+
+TEST(Sweep, JobFaultMidRunStopsPromptlyAndEngineReruns)
+{
+    const SweepSpec spec = sixBenchSpec();
+    const size_t cells = expandGrid(spec).size();
+    SweepEngine reference(1);
+    reference.setTraceStore(nullptr);
+    const std::string want = sweepCsv(reference.run(spec));
+
+    SweepEngine engine(4);
+    engine.setTraceStore(nullptr);
+    fault::disarmAll();
+    ASSERT_TRUE(fault::armSpec("sweep.job:3"));
+    EXPECT_THROW(engine.run(spec), std::runtime_error);
+    fault::disarmAll();
+    // The fault fired on the third cell; at most one more cell per
+    // other worker started after it.
+    EXPECT_LT(engine.replays(), cells);
+
+    EXPECT_EQ(sweepCsv(engine.run(spec)), want);
 }
 
 TEST(Sweep, ParallelForCoversEveryIndexExactlyOnce)

@@ -646,10 +646,15 @@ cmdCompare(const Options &original)
         spec.variants = variants;
         spec.insts = opt.insts;
         spec.seed = opt.ifGiven(&Options::seed);
+        // run() frees its traces, so fetch the one to save first; the
+        // run borrows it rather than generating it again.
+        const Trace *saved = opt.given(&Options::saveTrace)
+                                 ? &engine.trace(opt.bench, opt.insts,
+                                                 spec.seed)
+                                 : nullptr;
         results = engine.run(spec);
-        if (opt.given(&Options::saveTrace))
-            saveTraceFile(opt.saveTrace,
-                          engine.trace(opt.bench, opt.insts, spec.seed));
+        if (saved)
+            saveTraceFile(opt.saveTrace, *saved);
         printStoreStats(engine);
     }
 
