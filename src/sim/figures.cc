@@ -139,8 +139,6 @@ fig5Speedup(SweepEngine &engine, uint64_t insts)
                           {"SLTP", CoreKind::Sltp, cfg},
                           {"iCFP", CoreKind::ICfp, cfg}},
                          insts, {}};
-    parallelFor(spec.benches.size(), engine.jobs(),
-                [&](size_t i) { engine.trace(spec.benches[i], insts); });
     std::vector<SweepResult> grid = engine.run(spec);
     SpeedupShape shape;
     shape.baseIpc = true;
@@ -440,8 +438,6 @@ chainTable(SweepEngine &engine, uint64_t insts)
                          {{"chain=512", CoreKind::ICfp, big},
                           {"chain=64", CoreKind::ICfp, small}},
                          insts, {}};
-    parallelFor(spec.benches.size(), engine.jobs(),
-                [&](size_t i) { engine.trace(spec.benches[i], insts); });
     std::vector<SweepResult> grid = engine.run(spec);
 
     Table table("Chain table size sensitivity: 64-entry vs 512-entry");
@@ -522,8 +518,6 @@ table2Diagnostics(SweepEngine &engine, uint64_t insts)
                           {"runahead", CoreKind::Runahead, cfg},
                           {"icfp", CoreKind::ICfp, cfg}},
                          insts, {}};
-    parallelFor(spec.benches.size(), engine.jobs(),
-                [&](size_t i) { engine.trace(spec.benches[i], insts); });
     std::vector<SweepResult> grid = engine.run(spec);
 
     Table table("Table 2: iCFP diagnostics (paper reference values in "
@@ -565,8 +559,6 @@ sec53Ooo(SweepEngine &engine, uint64_t insts)
                           {"ooo", CoreKind::Ooo, cfg},
                           {"cfp", CoreKind::Cfp, cfg}},
                          insts, {}};
-    parallelFor(spec.benches.size(), engine.jobs(),
-                [&](size_t i) { engine.trace(spec.benches[i], insts); });
     std::vector<SweepResult> grid = engine.run(spec);
     SpeedupShape shape;
     shape.baseIpc = true;

@@ -440,15 +440,10 @@ SweepEngine::run(const std::vector<SweepJob> &jobs, uint64_t insts,
         }
     };
 
-    const size_t threads =
-        std::max<size_t>(1, std::min<size_t>(jobs_, jobs.size()));
-    std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    for (size_t t = 1; t < threads; ++t)
-        pool.emplace_back(worker);
-    worker();
-    for (std::thread &thread : pool)
-        thread.join();
+    // worker() catches its own exceptions, and a second call on the same
+    // thread returns at once; parallelFor joins every thread.
+    parallelFor(std::min<size_t>(jobs_, jobs.size()), jobs_,
+                [&](size_t) { worker(); });
     {
         std::lock_guard<std::mutex> lock(mutex_);
         peakHeld_ = std::max<uint64_t>(peakHeld_, peak);
