@@ -1,8 +1,9 @@
 /**
  * @file
  * Crash-durable file publication and the checksummed cache directory
- * built on it, shared by the trace store (sim/trace_store.hh) and the
- * result cache's disk tier (service/result_cache.hh).
+ * built on it, behind the result cache's disk tier
+ * (service/result_cache.hh) and the benchmark's trace store
+ * (sim/trace_store.hh).
  *
  * An atomic rename alone is not crash safe: after a power loss the
  * rename may survive while the data blocks it points at do not, leaving

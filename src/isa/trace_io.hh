@@ -39,6 +39,19 @@
 namespace icfp {
 
 /**
+ * Trace generator semantics version, embedded in every persisted-trace
+ * key and grid fingerprint. A content hash only proves a file holds
+ * what was written, not that what was written is what today's code
+ * would generate — so BUMP THIS whenever the shared generator machinery
+ * or the functional interpreter changes the traces it produces
+ * (src/workloads/kernels.cc, src/isa/interpreter.cc). A change to ONE
+ * benchmark's definition is covered more precisely by that benchmark's
+ * BenchmarkSpec::defVersion, which keys alongside this; serialization
+ * changes are covered by kTraceIoFormatVersion below.
+ */
+constexpr unsigned kTraceGenVersion = 1;
+
+/**
  * Serialization format version. Must stay in lockstep with the trailing
  * digit of the "ICFPTRC3"/"ICFPPRG3" magics in trace_io.cc: bump both
  * whenever the encoding changes (field added, reordered, or re-typed).

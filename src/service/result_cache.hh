@@ -1,11 +1,9 @@
 /**
  * @file
- * The service daemon's rendered-result cache: the layer above the
- * persistent trace store (sim/trace_store.hh) that makes a warm daemon
+ * The service daemon's rendered-result cache: it makes a warm daemon
  * answer a repeated sweep with zero trace generations AND zero replays.
  *
- * The trace store memoizes the *input* half of a sweep (golden traces);
- * this cache memoizes the *output* half — the fully rendered CSV/JSON
+ * It memoizes the *output* of a sweep — the fully rendered CSV/JSON
  * artifact, byte-identical to what a cold `icfp-sim sweep` run would
  * emit, keyed by the complete identity of the request:
  *
@@ -19,18 +17,17 @@
  *
  * Because every version constant and every benchmark's defVersion is
  * folded in, bumping any of them changes the key and the daemon
- * recomputes instead of serving stale bytes — the same invalidation
- * discipline the trace store applies to traces.
+ * recomputes instead of serving stale bytes.
  *
  * Two tiers. The in-memory tier is LRU over a byte cap, thread-safe.
  * The optional disk tier (`--cache-dir`) persists every inserted
  * artifact as `<key-hex>.res` in a CacheDir (common/durable_file.hh),
  * which owns the file format, durable publication, verify-or-delete
- * loading and eviction by mtime — the same policy as the trace store,
- * with the u64 key as each file's header identity. A restarted daemon
- * thus serves warm repeats with `cache=hit generations=0 replays=0`,
- * and an entry that fails its check is deleted and recomputed, never
- * served. The disk tier shares the byte cap with the memory tier.
+ * loading and eviction by mtime, with the u64 key as each file's
+ * header identity. A restarted daemon thus serves warm repeats with
+ * `cache=hit generations=0 replays=0`, and an entry that fails its
+ * check is deleted and recomputed, never served. The disk tier shares
+ * the byte cap with the memory tier.
  */
 
 #ifndef ICFP_SERVICE_RESULT_CACHE_HH

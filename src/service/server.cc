@@ -16,7 +16,6 @@
 #include "service/client.hh"
 #include "service/ledger.hh"
 #include "sim/merge.hh"
-#include "sim/trace_store.hh"
 #include "sim/version_info.hh"
 #include "workloads/suite_registry.hh"
 
@@ -66,10 +65,6 @@ Server::Server(ServerOptions options)
       cache_(options_.resultCacheMaxBytes,
              options_.cacheDir.value_or(""))
 {
-    if (options_.traceDir) {
-        engine_.setTraceStore(std::make_shared<TraceStore>(
-            *options_.traceDir, TraceStore::maxBytesFromEnv()));
-    }
     if (options_.queueDepth == 0)
         options_.queueDepth = 1;
     if (options_.jobTraceDir) {

@@ -3,13 +3,13 @@
  * The simulation service daemon: a Unix-domain-socket server that turns
  * the sweep engine into a long-lived, queryable experiment service.
  *
- * Architecture (one resident process, hot caches, many clients):
+ * Architecture (one resident process, a hot result cache, many
+ * clients):
  *
  *   client conns ──► handler threads ──► bounded JobQueue ──► dispatcher
  *                                                               │
  *                      ResultCache (rendered artifacts) ◄───────┤
- *                      TraceStore  (golden traces)      ◄── SweepEngine
- *                                                           (worker pool)
+ *                      SweepEngine (worker pool)        ◄───────┘
  *
  *  - One handler thread per connection speaks the frame protocol
  *    (service/protocol.hh): versioned hello, then ping / submit /
@@ -74,8 +74,6 @@ struct ServerOptions
     std::string socketPath;
     unsigned jobs = 0;      ///< engine worker threads; 0 = default
     size_t queueDepth = 8;  ///< max queued + running jobs
-    /** Persistent trace store directory (overrides ICFP_TRACE_DIR). */
-    std::optional<std::string> traceDir;
     uint64_t resultCacheMaxBytes = 256 * 1024 * 1024;
     /** Persistent result-cache directory (the disk tier of
      *  service/result_cache.hh); unset = memory-only cache. */
@@ -96,8 +94,8 @@ struct ServerOptions
     /** Per-job Chrome-trace directory (`--job-trace-dir`): when set,
      *  every job's phase spans are durably published as
      *  `<dir>/job-<id>.trace.json` (loadable in chrome://tracing /
-     *  Perfetto). Distinct from traceDir, the golden-trace store.
-     *  Out-of-band: artifacts stay byte-identical either way. */
+     *  Perfetto). Out-of-band: artifacts stay byte-identical either
+     *  way. */
     std::optional<std::string> jobTraceDir;
 };
 

@@ -10,12 +10,11 @@
  * grid from the first one's cycles (mp_safety), co-run two traces
  * outside the grid (smt_tradeoff) or simulate nothing (area_overheads).
  * Each run function fixes its own configs, runs on the caller's engine
- * (so figures share its worker threads and trace store), and returns
- * the rendered tables plus the raw grid behind them. The engine frees
- * each grid's traces when that run() ends, so two grids over the same
- * benches each get their traces again (from the store, if one is
- * attached); a figure that needs a trace after its grid asks
- * SweepEngine::trace() for it first.
+ * (so figures share its worker threads), and returns the rendered
+ * tables plus the raw grid behind them. The engine frees each grid's
+ * traces when that run() ends, so two grids over the same benches each
+ * generate their traces again; a figure that needs a trace after its
+ * grid asks SweepEngine::trace() for it first.
  *
  * `icfp-sim figure NAME...` prints them; tests/test_golden.cc pins every
  * row's tables at 20k insts against tests/golden/figures/NAME_20k.txt.

@@ -7,8 +7,8 @@
 
 #include "common/durable_file.hh" // fnv1a64
 #include "common/logging.hh"
+#include "isa/trace_io.hh" // kTraceGenVersion
 #include "sim/report.hh"
-#include "sim/trace_store.hh" // kTraceGenVersion
 
 namespace icfp {
 

@@ -9,9 +9,9 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "isa/trace_io.hh" // kTraceGenVersion
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
-#include "sim/trace_store.hh"
 #include "workloads/nonspec_suites.hh"
 #include "workloads/suite_registry.hh"
 

@@ -41,7 +41,7 @@ namespace icfp {
  * grid fingerprint (sim/merge.hh), so shards produced by binaries with
  * different simulator semantics refuse to merge into one report.
  * (Trace *generation* changes are versioned separately by
- * kTraceGenVersion in sim/trace_store.hh.)
+ * kTraceGenVersion in isa/trace_io.hh.)
  */
 constexpr unsigned kSimSemanticsVersion = 1;
 

@@ -194,7 +194,7 @@ defaultSweepJobs()
 }
 
 SweepEngine::SweepEngine(unsigned jobs)
-    : jobs_(jobs ? jobs : defaultSweepJobs()), store_(TraceStore::fromEnv())
+    : jobs_(jobs ? jobs : defaultSweepJobs())
 {
 }
 

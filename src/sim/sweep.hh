@@ -19,9 +19,8 @@
  * a stable gridIndex, and ShardSpec/shardJobs() partition the grid into
  * `--shard i/N` slices whose emitted artifacts sim/merge.hh stitches back
  * into the byte-identical unsharded report — cluster-scale grids are just
- * N invocations plus one merge. Golden traces persist across processes
- * through the TraceStore (sim/trace_store.hh) the engine consults before
- * generating.
+ * N invocations plus one merge. Each process generates the golden traces
+ * its slice needs: they are a pure function of (bench, insts, seed).
  *
  * @code
  *   SweepSpec spec;
@@ -192,10 +191,9 @@ class SweepCancelled : public std::runtime_error
  * caches by name, for callers that want a trace outside the grid; run()
  * borrows a trace trace() already holds but never adds one.
  *
- * Trace lookups go trace()'s cache → persistent TraceStore →
- * generation. By default the engine attaches the environment-configured
- * store (ICFP_TRACE_DIR, see sim/trace_store.hh), so a second sweep over
- * the same grid — even in a fresh process — performs zero generations.
+ * Trace lookups go trace()'s cache → the TraceStore set with
+ * setTraceStore(), if any → generation. A new engine has no store, and
+ * only the benchmark harness attaches one.
  */
 class SweepEngine
 {
@@ -206,11 +204,8 @@ class SweepEngine
     unsigned jobs() const { return jobs_; }
 
     /** Attach (or detach, with nullptr) a persistent trace store,
-     *  replacing the environment default. */
+     *  consulted before generating and written after. */
     void setTraceStore(std::shared_ptr<TraceStore> store);
-
-    /** The attached persistent store, if any. */
-    TraceStore *traceStore() const { return store_.get(); }
 
     /** Golden traces generated (not served from memory or the store)
      *  over this engine's lifetime. */

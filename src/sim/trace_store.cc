@@ -1,7 +1,5 @@
 #include "sim/trace_store.hh"
 
-#include <cstdlib>
-
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "isa/trace_io.hh"
@@ -63,33 +61,13 @@ TraceId::fileName() const
     return name + kStoreSuffix;
 }
 
-TraceStore::TraceStore(std::string dir, uint64_t max_bytes)
-    : cache_(std::move(dir), "ICFPSTR1", kStoreSuffix, "trace_store",
-             max_bytes)
+TraceStore::TraceStore(std::string dir)
+    : cache_(std::move(dir), "ICFPSTR1", kStoreSuffix, "trace_store", 0)
 {
     if (cache_.createError()) {
         ICFP_WARN("trace store: cannot create %s: %s", cache_.dir().c_str(),
                   cache_.createError().message().c_str());
     }
-}
-
-std::shared_ptr<TraceStore>
-TraceStore::fromEnv()
-{
-    const char *dir = std::getenv("ICFP_TRACE_DIR");
-    if (!dir || !*dir)
-        return nullptr;
-    return std::make_shared<TraceStore>(dir, maxBytesFromEnv());
-}
-
-uint64_t
-TraceStore::maxBytesFromEnv()
-{
-    const char *mb = std::getenv("ICFP_TRACE_DIR_MAX_MB");
-    if (!mb)
-        return 0;
-    const long long v = std::atoll(mb);
-    return v > 0 ? static_cast<uint64_t>(v) * 1024 * 1024 : 0;
 }
 
 std::optional<Trace>
@@ -122,20 +100,16 @@ TraceStore::store(const TraceId &id, const Trace &trace)
     // Concurrent writers of the same id race benignly through unique
     // temps (deterministic generation: both candidates are identical).
     std::string err;
-    const std::optional<uint64_t> evicted = cache_.publish(
-        id.fileName(), storeIdentity(id),
-        [&](std::string &out) { writeTrace(out, trace); }, &err);
-    if (!evicted) {
+    if (!cache_.publish(id.fileName(), storeIdentity(id),
+                        [&](std::string &out) { writeTrace(out, trace); },
+                        &err)) {
         ICFP_WARN("trace store: %s", err.c_str());
         return;
     }
 
     countStoreEvent("writes");
-    if (*evicted)
-        countStoreEvent("evictions", *evicted);
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.writes;
-    stats_.evictions += *evicted;
 }
 
 TraceStore::Stats

@@ -1,25 +1,25 @@
 /**
  * @file
  * Persistent golden-trace store: a cache directory that maps
- * (bench, insts, seed) to a serialized trace (isa/trace_io) so repeated
- * sweeps — in this process or any other — skip trace generation
- * entirely. This is the reusable, integrity-checked input half of the
- * sharded-sweep workflow: every shard of a grid, on any machine sharing
- * the directory, replays byte-identical traces.
+ * (bench, insts, seed) to a serialized trace (isa/trace_io), attached
+ * to an engine with SweepEngine::setTraceStore.
+ *
+ * No user path reaches it: it remains only for perfbench's
+ * store_nonspec workload, until that workload is retargeted (ROADMAP
+ * item 14) and the store can be deleted.
  *
  * The files live in a CacheDir (common/durable_file.hh), which owns the
- * on-disk format, durable publication, verify-or-delete loading and LRU
- * eviction; this store adds the trace key (carried in each file's
- * header as its identity) and the trace encoding. Corruption can cost
- * time, never correctness, and every I/O failure degrades to a cache
- * miss with a warning: the store must never take a sweep down.
+ * on-disk format, durable publication and verify-or-delete loading;
+ * this store adds the trace key (carried in each file's header as its
+ * identity) and the trace encoding. Corruption can cost time, never
+ * correctness, and every I/O failure degrades to a cache miss with a
+ * warning: the store must never take a sweep down.
  */
 
 #ifndef ICFP_SIM_TRACE_STORE_HH
 #define ICFP_SIM_TRACE_STORE_HH
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -28,20 +28,6 @@
 #include "isa/interpreter.hh"
 
 namespace icfp {
-
-/**
- * Trace generator semantics version, embedded in every store key. The
- * FNV-1a hash only proves a file holds what was written, not that what
- * was written is what today's code would generate — so BUMP THIS
- * whenever the shared generator machinery or the functional interpreter
- * changes the traces it produces (src/workloads/kernels.cc,
- * src/isa/interpreter.cc), or warm stores will silently serve stale
- * traces. A change to ONE benchmark's definition is covered more
- * precisely by that benchmark's BenchmarkSpec::defVersion, which keys
- * alongside this; serialization changes are covered by
- * kTraceIoFormatVersion in isa/trace_io.hh.
- */
-constexpr unsigned kTraceGenVersion = 1;
 
 /** The full identity of a cached golden trace. */
 struct TraceId
@@ -66,7 +52,7 @@ struct TraceId
     std::string fileName() const;
 };
 
-/** A persistent, integrity-checked, size-capped trace cache directory. */
+/** A persistent, integrity-checked trace cache directory. */
 class TraceStore
 {
   public:
@@ -76,25 +62,10 @@ class TraceStore
         uint64_t misses = 0;    ///< load() found nothing usable
         uint64_t writes = 0;    ///< store() published a file
         uint64_t corrupt = 0;   ///< bad header/hash detected (and removed)
-        uint64_t evictions = 0; ///< files removed by the LRU cap
     };
 
-    /**
-     * @param dir cache directory (created if absent)
-     * @param max_bytes LRU size cap; 0 = unlimited
-     */
-    explicit TraceStore(std::string dir, uint64_t max_bytes = 0);
-
-    /**
-     * The environment-configured store: ICFP_TRACE_DIR names the
-     * directory (unset/empty = no store, returns nullptr) and
-     * ICFP_TRACE_DIR_MAX_MB caps its size.
-     */
-    static std::shared_ptr<TraceStore> fromEnv();
-
-    /** The ICFP_TRACE_DIR_MAX_MB cap in bytes (0 = unlimited), for
-     *  callers naming the directory some other way (e.g. --trace-dir). */
-    static uint64_t maxBytesFromEnv();
+    /** @param dir cache directory (created if absent) */
+    explicit TraceStore(std::string dir);
 
     /**
      * Look up @p id. Returns the trace on an integrity-verified hit;
@@ -104,8 +75,8 @@ class TraceStore
     std::optional<Trace> load(const TraceId &id);
 
     /**
-     * Publish @p trace under @p id (atomic write-then-rename), then
-     * enforce the size cap. I/O failure warns and returns.
+     * Publish @p trace under @p id (atomic write-then-rename). I/O
+     * failure warns and returns.
      */
     void store(const TraceId &id, const Trace &trace);
 

@@ -4,9 +4,8 @@
 #include <sstream>
 
 #include "common/durable_file.hh" // fnv1a64
-#include "isa/trace_io.hh"
+#include "isa/trace_io.hh" // kTraceGenVersion, kTraceIoFormatVersion
 #include "sim/simulator.hh"
-#include "sim/trace_store.hh" // kTraceGenVersion
 #include "workloads/suite_registry.hh"
 
 namespace icfp {

@@ -32,9 +32,10 @@ struct BenchmarkSpec
     /**
      * Workload-definition version: BUMP whenever this benchmark's
      * generator parameters (or the kernel features it exercises) change
-     * the trace it produces. The persistent trace store folds it into
-     * every store key (sim/trace_store.hh), so editing a kernel can
-     * never silently serve a stale golden trace. (Changes that affect
+     * the trace it produces. The registry fingerprint
+     * (sim/version_info.hh) and every trace-store key fold it in, so
+     * editing a kernel can never silently serve a stale cached result
+     * or golden trace. (Changes that affect
      * *every* benchmark — kernels.cc / interpreter semantics — are
      * covered by the global kTraceGenVersion instead.)
      */

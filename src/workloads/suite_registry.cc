@@ -118,7 +118,7 @@ SuiteRegistry::findBenchmark(const std::string &bench) const
             // workload knob plus the definition version. Anything less
             // (say, same seed but a tweaked coldLoads) would let the
             // suite order silently pick between two different golden
-            // traces that share one trace-store key.
+            // traces that share one name.
             if (!(spec.workload == found->workload) ||
                 spec.defVersion != found->defVersion) {
                 ICFP_PANIC("benchmark '%s' defined inconsistently across "

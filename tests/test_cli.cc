@@ -182,7 +182,6 @@ TEST_F(CliTest, KeepsEveryEarlierRefusal)
     const std::vector<std::pair<Args, std::string>> cases = {
         // Options that only some verbs read.
         {{"run", "--shard", "1/2"}, "--shard"},
-        {{"run", "--trace-dir", "tr"}, "--trace-dir"},
         {{"run", "--suite", "nonspec"}, "--suite"},
         {{"run", "--socket", s}, "--socket"},
         {{"sweep", "--wait"}, "--wait"},
@@ -235,8 +234,6 @@ TEST_F(CliTest, KeepsEveryEarlierRefusal)
          "run: --bench cannot be used with --load-trace"},
         {{"disasm", "--load-trace", "g.trc", "--bench", "mcf"},
          "disasm: --bench cannot be used with --load-trace"},
-        {{"compare", "--load-trace", "g.trc", "--trace-dir", "tr"},
-         "compare: --trace-dir cannot be used with --load-trace"},
         {{"submit", "--socket", s, "--out", "never.csv"},
          "submit: --out needs --wait"},
         // Required options and operands.
@@ -257,9 +254,18 @@ TEST_F(CliTest, KeepsEveryEarlierRefusal)
         {{"serve", "--socket", s, "--peers", ""}, "--peers"},
         {{"serve", "--socket", s, "--listen-tcp", ""}, "--listen-tcp"},
         {{"serve", "--socket", s, "--job-trace-dir", ""}, "--job-trace-dir"},
-        {{"sweep", "--trace-dir", ""}, "--trace-dir"},
         // The command line itself.
         {{"run", "--nope"}, "unknown option --nope"},
+        // Traces are generated, or loaded from one --load-trace file.
+        // The trailing bad value would stop the verb before any work
+        // if the option were accepted.
+        {{"run", "--trace-dir", "tr"}, "unknown option --trace-dir"},
+        {{"sweep", "--trace-dir", "tr", "--insts", "0"},
+         "unknown option --trace-dir"},
+        {{"figure", "fig5_speedup", "--trace-dir", "tr", "--insts", "0"},
+         "unknown option --trace-dir"},
+        {{"serve", "--socket", s, "--trace-dir", "tr", "--queue-depth", "0"},
+         "unknown option --trace-dir"},
         {{"run", "--insts"}, "missing value for --insts"},
         {{}, "usage: icfp-sim"},
         {{"nosuch"}, "usage: icfp-sim"},

@@ -47,7 +47,6 @@
 #include "service/server.hh"
 #include "sim/merge.hh"
 #include "sim/report.hh"
-#include "sim/trace_store.hh"
 #include "sim/version_info.hh"
 
 namespace fs = std::filesystem;
@@ -208,7 +207,7 @@ TEST(ResultCacheTest, DefVersionOrSimVersionBumpInvalidatesKey)
 
     // Bump one benchmark's workload-definition version: the registry
     // fingerprint moves, so every cached result keyed under the old
-    // identity becomes unreachable (exactly like the trace store).
+    // identity becomes unreachable.
     RegistryIdentity bumped_def = current;
     ASSERT_FALSE(bumped_def.suites.empty());
     ASSERT_FALSE(bumped_def.suites[0].benches.empty());
@@ -245,7 +244,6 @@ class ServiceTest : public ::testing::Test
         opts.socketPath = socket_;
         opts.jobs = jobs;
         opts.queueDepth = depth;
-        opts.traceDir = dir_ + "/traces"; // hermetic persistent store
         return opts;
     }
 
@@ -285,7 +283,6 @@ class ServiceTest : public ::testing::Test
         spec.insts = insts;
         spec.seed = seed;
         SweepEngine engine(2);
-        engine.setTraceStore(nullptr); // hermetic
         const std::vector<SweepResult> results = engine.run(spec);
         return format == "json" ? sweepJson(results) : sweepCsv(results);
     }
@@ -402,13 +399,9 @@ TEST_F(ServiceTest, DaemonHoldsNoTraceBetweenJobs)
                   "submitted");
         ASSERT_EQ(client.readFrame().type(), "result");
     }
-    // The first job generated the trace and stored it; the engine freed
-    // it with the job's last cell, so the second job loaded it back from
-    // the store rather than finding it in memory.
-    const TraceStore::Stats store = server.engine().traceStore()->stats();
-    EXPECT_EQ(server.stats().generations, 1u);
-    EXPECT_EQ(store.writes, 1u);
-    EXPECT_EQ(store.hits, 1u);
+    // The engine freed the trace with the first job's last cell, so the
+    // second job generated it again rather than finding it in memory.
+    EXPECT_EQ(server.stats().generations, 2u);
 
     server.requestDrain();
     server.join();
@@ -774,11 +767,10 @@ TEST_F(ServiceTest, PersistentCacheServesWarmRepeatAcrossRestart)
     }
     EXPECT_EQ(cold_payload, directSweep("mcf,gzip", "in-order,icfp", 3000));
 
-    // Restart: same cache dir, but a FRESH trace dir — if the warm hit
-    // did any real work it would show up as trace generations.
+    // Restart: same cache dir — if the warm hit did any real work it
+    // would show up as trace generations.
     ServerOptions opts2 = options();
     opts2.cacheDir = cache_dir;
-    opts2.traceDir = dir_ + "/traces-after-restart";
     Server server(opts2);
     server.start();
     ServiceClient client(socket_);
@@ -946,6 +938,26 @@ TEST(ResultCacheTest, DiskTierHonorsByteCapByRecency)
     // Memory still serves both; only the disk tier was trimmed.
     EXPECT_TRUE(cache.lookup(1).has_value());
     EXPECT_TRUE(cache.lookup(2).has_value());
+
+    // A disk hit refreshes recency (CacheDir::load touches the file).
+    // Restart with room for two files, age entry 2's file below entry
+    // 3's and serve 2 from disk: the next insert must evict 3, the least
+    // recently used, not 2, the least recently written.
+    const fs::path second = fs::path(dir) / (fingerprintHex(2) + ".res");
+    const fs::path third = fs::path(dir) / (fingerprintHex(3) + ".res");
+    ASSERT_TRUE(fs::exists(second));
+    ResultCache restarted(300, dir);
+    restarted.insert(3, payload);
+    const auto now = fs::file_time_type::clock::now();
+    fs::last_write_time(second, now - std::chrono::hours(3));
+    fs::last_write_time(third, now - std::chrono::hours(2));
+    CacheTier tier = CacheTier::None;
+    EXPECT_TRUE(restarted.lookup(2, &tier).has_value());
+    EXPECT_EQ(tier, CacheTier::Disk);
+    restarted.insert(4, payload); // over the cap: evicts 3, keeps 2
+    EXPECT_EQ(restarted.stats().diskEvictions, 1u);
+    EXPECT_FALSE(fs::exists(third));
+    EXPECT_TRUE(fs::exists(second));
     fs::remove_all(dir);
 }
 
@@ -1469,14 +1481,13 @@ class FederationTest : public ServiceTest
         std::string endpoint;
     };
 
-    /** A peer daemon on its own socket/trace-dir; TCP by default. */
+    /** A peer daemon on its own socket; TCP by default. */
     Peer makePeer(const std::string &name, bool tcp = true)
     {
         ServerOptions opts;
         opts.socketPath = dir_ + "/" + name + ".sock";
         opts.jobs = 2;
         opts.queueDepth = 8;
-        opts.traceDir = dir_ + "/" + name + "-traces";
         if (tcp)
             opts.listenTcp = "127.0.0.1:0";
         Peer peer;

@@ -144,7 +144,7 @@ class NonspecFamilyTest : public ::testing::TestWithParam<const char *>
 
 TEST_P(NonspecFamilyTest, SameSeedSameTraceBytes)
 {
-    // The determinism the trace store and sharded sweeps rest on: two
+    // The determinism sharded sweeps and the result cache rest on: two
     // independent generations serialize to the same bytes.
     const Trace a = makeBenchTrace(spec(), 20000);
     const Trace b = makeBenchTrace(spec(), 20000);

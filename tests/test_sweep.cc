@@ -5,14 +5,17 @@
  * determinism contract (identical results and identical CSV/JSON
  * bytes), trace lifetime under run() (no trace kept after it, at most
  * jobs traces at once, trace()'s copies borrowed), a cancel or fault
- * mid-run, and the parallelFor primitive. The paper figures built on
- * the engine are pinned in tests/test_golden.cc.
+ * mid-run, no trace store taken from the environment, and the
+ * parallelFor primitive. The paper figures built on the engine are
+ * pinned in tests/test_golden.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <thread>
 
 #include "common/fault_inject.hh"
@@ -155,7 +158,6 @@ sixBenchSpec()
 TEST(Sweep, RunKeepsNoTraceAfterItReturns)
 {
     SweepEngine engine(2);
-    engine.setTraceStore(nullptr);
     const SweepSpec spec = smallSpec();
     engine.run(spec);
     EXPECT_EQ(engine.traceGenerations(), spec.benches.size());
@@ -164,12 +166,30 @@ TEST(Sweep, RunKeepsNoTraceAfterItReturns)
     EXPECT_EQ(engine.traceGenerations(), spec.benches.size() + 1);
 }
 
+TEST(Sweep, EngineIgnoresTraceDirEnvironment)
+{
+    // Every user path generates its traces: the old ICFP_TRACE_DIR
+    // variable attaches no store, so nothing is read from or written to
+    // the directory it names.
+    namespace fs = std::filesystem;
+    std::string dir =
+        (fs::temp_directory_path() / "icfp_sweep_env_XXXXXX").string();
+    ASSERT_NE(mkdtemp(dir.data()), nullptr);
+    ASSERT_EQ(setenv("ICFP_TRACE_DIR", dir.c_str(), 1), 0);
+    SweepEngine engine;
+    const SweepSpec spec = smallSpec();
+    engine.run(spec);
+    ASSERT_EQ(unsetenv("ICFP_TRACE_DIR"), 0);
+    EXPECT_EQ(engine.traceGenerations(), spec.benches.size());
+    EXPECT_TRUE(fs::is_empty(dir));
+    fs::remove_all(dir);
+}
+
 TEST(Sweep, RunHoldsAtMostJobsTracesAtOnce)
 {
     const SweepSpec spec = sixBenchSpec();
     for (const unsigned jobs : {1u, 2u, 4u}) {
         SweepEngine engine(jobs);
-        engine.setTraceStore(nullptr);
         engine.run(spec);
         EXPECT_GE(engine.peakTracesHeld(), 1u) << "jobs=" << jobs;
         EXPECT_LE(engine.peakTracesHeld(), jobs) << "jobs=" << jobs;
@@ -183,7 +203,6 @@ TEST(Sweep, RunBorrowsTracesFetchedBeforeIt)
 {
     const SweepSpec spec = smallSpec();
     SweepEngine engine(4);
-    engine.setTraceStore(nullptr);
     const Trace &held = engine.trace("equake", spec.insts);
     EXPECT_EQ(engine.traceGenerations(), 1u);
     const std::string csv = sweepCsv(engine.run(spec));
@@ -194,7 +213,6 @@ TEST(Sweep, RunBorrowsTracesFetchedBeforeIt)
     EXPECT_EQ(engine.traceGenerations(), spec.benches.size());
 
     SweepEngine fresh(1);
-    fresh.setTraceStore(nullptr);
     EXPECT_EQ(csv, sweepCsv(fresh.run(spec)));
 }
 
@@ -203,11 +221,9 @@ TEST(Sweep, CancelMidRunStopsPromptlyAndEngineReruns)
     const SweepSpec spec = sixBenchSpec();
     const std::vector<SweepJob> grid = expandGrid(spec);
     SweepEngine reference(1);
-    reference.setTraceStore(nullptr);
     const std::string want = sweepCsv(reference.run(spec));
 
     SweepEngine engine(4);
-    engine.setTraceStore(nullptr);
     std::atomic<bool> cancel{false};
     uint64_t done_at_cancel = 0;
     std::thread watcher([&] {
@@ -232,11 +248,9 @@ TEST(Sweep, JobFaultMidRunStopsPromptlyAndEngineReruns)
     const SweepSpec spec = sixBenchSpec();
     const size_t cells = expandGrid(spec).size();
     SweepEngine reference(1);
-    reference.setTraceStore(nullptr);
     const std::string want = sweepCsv(reference.run(spec));
 
     SweepEngine engine(4);
-    engine.setTraceStore(nullptr);
     fault::disarmAll();
     ASSERT_TRUE(fault::armSpec("sweep.job:3"));
     EXPECT_THROW(engine.run(spec), std::runtime_error);

@@ -12,9 +12,9 @@
 #include <sstream>
 #include <string_view>
 
+#include "common/durable_file.hh" // fnv1a64
 #include "isa/trace_io.hh"
 #include "sim/simulator.hh"
-#include "sim/trace_store.hh"
 #include "workloads/kernels.hh"
 #include "workloads/suite_registry.hh"
 

@@ -3,16 +3,14 @@
  * Persistent trace store tests (sim/trace_store.hh): round-trip
  * hit/miss, full-tuple (bench, insts, seed) keying, corruption
  * detection (bit-flip → regeneration, not a crash), atomic writes (no
- * partial files visible), LRU eviction order, and the SweepEngine
- * integration that makes a second sweep over the same grid perform
- * zero trace generations. The cache-directory properties the store
+ * partial files visible), and the SweepEngine integration that makes a
+ * second sweep over the same grid perform zero trace generations. The cache-directory properties the store
  * shares with the result cache (stale-temp reclaim, publish faults,
  * torn and truncated files, mutation fuzz) are in test_cache_dir.cc.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -254,7 +252,6 @@ TEST_F(TraceStoreTest, BitFlipDetectedAndRegenerated)
     EXPECT_TRUE(fs::exists(path));
 }
 
-
 TEST_F(TraceStoreTest, AtomicWriteLeavesNoPartialFiles)
 {
     TraceStore store(dir_);
@@ -268,45 +265,6 @@ TEST_F(TraceStoreTest, AtomicWriteLeavesNoPartialFiles)
         ++published;
     }
     EXPECT_EQ(published, 2u);
-}
-
-
-TEST_F(TraceStoreTest, LruEvictionOrderRespectsRecency)
-{
-    const Trace a = genTrace("gzip", 600);
-    const Trace b = genTrace("mesa", 600);
-    const Trace c = genTrace("crafty", 600);
-    const uint64_t one = traceBytes(a).size();
-
-    // Cap fits roughly two artifacts (each trace ≈ `one` bytes).
-    TraceStore store(dir_, 5 * one / 2);
-    const TraceId ida{"gzip", 600, std::nullopt};
-    const TraceId idb{"mesa", 600, std::nullopt};
-    const TraceId idc{"crafty", 600, std::nullopt};
-
-    store.store(ida, a);
-    store.store(idb, b);
-    // Make recency unambiguous (filesystem timestamps can be coarse):
-    // A is older than B.
-    const auto now = fs::file_time_type::clock::now();
-    fs::last_write_time(storePath(ida), now - std::chrono::hours(2));
-    fs::last_write_time(storePath(idb), now - std::chrono::hours(1));
-
-    store.store(idc, c); // over cap: evicts A (oldest), keeps B and C
-    EXPECT_EQ(store.stats().evictions, 1u);
-    EXPECT_FALSE(fs::exists(storePath(ida)));
-    EXPECT_TRUE(fs::exists(storePath(idb)));
-    EXPECT_TRUE(fs::exists(storePath(idc)));
-
-    // A hit refreshes recency: touch B's slot via load, age C, then
-    // store A again — now C is the eviction victim.
-    fs::last_write_time(storePath(idc), now - std::chrono::hours(3));
-    EXPECT_TRUE(store.load(idb).has_value()); // refreshes B to "now"
-    store.store(ida, a);
-    EXPECT_EQ(store.stats().evictions, 2u);
-    EXPECT_FALSE(fs::exists(storePath(idc)));
-    EXPECT_TRUE(fs::exists(storePath(idb)));
-    EXPECT_TRUE(fs::exists(storePath(ida)));
 }
 
 TEST_F(TraceStoreTest, SecondSweepOverSameGridGeneratesNothing)
@@ -327,38 +285,16 @@ TEST_F(TraceStoreTest, SecondSweepOverSameGridGeneratesNothing)
 
     // A fresh engine (fresh process stand-in) over the same store: every
     // trace is served from disk, zero generations, identical report.
+    auto warm_store = std::make_shared<TraceStore>(dir_);
     SweepEngine warm(2);
-    warm.setTraceStore(std::make_shared<TraceStore>(dir_));
+    warm.setTraceStore(warm_store);
     const std::vector<SweepResult> second = warm.run(spec);
     EXPECT_EQ(warm.traceGenerations(), 0u);
-    EXPECT_EQ(warm.traceStore()->stats().hits, spec.benches.size());
-    EXPECT_EQ(warm.traceStore()->stats().misses, 0u);
+    EXPECT_EQ(warm_store->stats().hits, spec.benches.size());
+    EXPECT_EQ(warm_store->stats().misses, 0u);
     EXPECT_EQ(sweepCsv(second), sweepCsv(first));
     EXPECT_EQ(sweepJson(second), sweepJson(first));
 }
-
-TEST_F(TraceStoreTest, FromEnvHonorsTraceDirVariable)
-{
-    // fromEnv() is what SweepEngine's constructor consults.
-    ASSERT_EQ(setenv("ICFP_TRACE_DIR", dir_.c_str(), 1), 0);
-    std::shared_ptr<TraceStore> store = TraceStore::fromEnv();
-    ASSERT_NE(store, nullptr);
-    EXPECT_EQ(store->dir(), dir_);
-
-    SweepEngine engine(1);
-    EXPECT_NE(engine.traceStore(), nullptr);
-    EXPECT_EQ(engine.traceStore()->dir(), dir_);
-
-    ASSERT_EQ(unsetenv("ICFP_TRACE_DIR"), 0);
-    EXPECT_EQ(TraceStore::fromEnv(), nullptr);
-    SweepEngine bare(1);
-    EXPECT_EQ(bare.traceStore(), nullptr);
-}
-
-
-
-
-
 
 } // namespace
 } // namespace icfp

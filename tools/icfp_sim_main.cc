@@ -72,7 +72,6 @@
 #include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
-#include "sim/trace_store.hh"
 #include "sim/version_info.hh"
 #include "workloads/nonspec_suites.hh"
 #include "workloads/suite_registry.hh"
@@ -127,7 +126,6 @@ struct Options
     std::string format = "table";
     std::string out;
     std::string shard;
-    std::string traceDir;
 
     // Service and federation options.
     std::string socket;
@@ -255,8 +253,6 @@ const OptionSpec kOptions[] = {
     {"--out", Kind::Path, &Options::out,
      kSweep | kMerge | kPerf | kSubmit | kResult | kFigure, "FILE"},
     {"--shard", Kind::Text, &Options::shard, kSweep, "i/N"},
-    {"--trace-dir", Kind::Path, &Options::traceDir,
-     kEngine | kServe | kFigure, "DIR"},
 
     {"--socket", Kind::Path, &Options::socket, kService, "PATH"},
     {"--queue-depth", Kind::Uint, &Options::queueDepth, kServe, "K", 1},
@@ -303,8 +299,6 @@ const OptionRule kRules[] = {
      "a loaded trace is not saved again"},
     {&Options::bench, &Options::loadTrace, false, kRun | kDisasm,
      "a loaded trace is not generated from a benchmark"},
-    {&Options::traceDir, &Options::loadTrace, false, kCompare,
-     "a loaded trace does not go through the trace store"},
     {&Options::out, &Options::wait, true, kSubmit,
      "without it no artifact is fetched"},
 };
@@ -437,38 +431,6 @@ coreVariants(const std::vector<CoreKind> &kinds, const SimConfig &cfg)
     for (const CoreKind kind : kinds)
         variants.push_back({coreKindName(kind), kind, cfg});
     return variants;
-}
-
-/** Apply --trace-dir (overriding the ICFP_TRACE_DIR directory; the
- *  ICFP_TRACE_DIR_MAX_MB cap still applies). */
-void
-applyTraceDir(SweepEngine &engine, const Options &opt)
-{
-    if (opt.given(&Options::traceDir)) {
-        engine.setTraceStore(std::make_shared<TraceStore>(
-            opt.traceDir, TraceStore::maxBytesFromEnv()));
-    }
-}
-
-/** One greppable stderr line of trace-store traffic (the observable
- *  hit/miss counter: a warm store shows misses=0 generations=0). */
-void
-printStoreStats(const SweepEngine &engine)
-{
-    const TraceStore *store = engine.traceStore();
-    if (!store)
-        return;
-    const TraceStore::Stats s = store->stats();
-    std::fprintf(stderr,
-                 "icfp-sim: trace store hits=%llu misses=%llu "
-                 "writes=%llu corrupt=%llu evictions=%llu "
-                 "generations=%llu dir=%s\n",
-                 (unsigned long long)s.hits, (unsigned long long)s.misses,
-                 (unsigned long long)s.writes,
-                 (unsigned long long)s.corrupt,
-                 (unsigned long long)s.evictions,
-                 (unsigned long long)engine.traceGenerations(),
-                 store->dir().c_str());
 }
 
 /** Check that --out (if given) is writable before any work is done. The
@@ -635,7 +597,6 @@ cmdCompare(const Options &original)
         coreVariants(CoreRegistry::instance().kinds(), cfg);
 
     SweepEngine engine(engineJobs(opt));
-    applyTraceDir(engine, opt);
     std::vector<SweepResult> results;
     if (opt.given(&Options::loadTrace)) {
         const Trace trace = makeTrace(opt);
@@ -655,7 +616,6 @@ cmdCompare(const Options &original)
         results = engine.run(spec);
         if (saved)
             saveTraceFile(opt.saveTrace, *saved);
-        printStoreStats(engine);
     }
 
     Table t("All models on " + opt.bench);
@@ -688,9 +648,7 @@ cmdSuite(const Options &opt)
     spec.seed = opt.ifGiven(&Options::seed);
 
     SweepEngine engine(engineJobs(opt));
-    applyTraceDir(engine, opt);
     const std::vector<SweepResult> results = engine.run(spec);
-    printStoreStats(engine);
 
     Table t("Suite results: " + opt.core);
     t.setColumns({"bench", "IPC", "D$ miss/KI", "L2 miss/KI", "D$ MLP",
@@ -742,10 +700,8 @@ cmdSweep(const Options &opt)
     const std::vector<SweepJob> jobs = shard ? shardJobs(grid, *shard) : grid;
 
     SweepEngine engine(engineJobs(opt));
-    applyTraceDir(engine, opt);
     const std::vector<SweepResult> results =
         engine.run(jobs, spec.insts, spec.seed);
-    printStoreStats(engine);
     return emitSweep(opt, shard, results, grid.size(),
                      gridFingerprint(grid, spec.insts, spec.seed,
                                      configIdentity(opt)));
@@ -798,7 +754,6 @@ cmdFigure(const Options &opt)
         return 1;
 
     SweepEngine engine(engineJobs(opt));
-    applyTraceDir(engine, opt);
     FigureOutput all;
     for (const Figure *figure : chosen) {
         FigureOutput out = figure->run(engine, opt.insts);
@@ -807,7 +762,6 @@ cmdFigure(const Options &opt)
         std::move(out.grid.begin(), out.grid.end(),
                   std::back_inserter(all.grid));
     }
-    printStoreStats(engine);
     return emitPayload(opt, opt.format == "table"
                                 ? figureText(all)
                                 : sweepArtifact(all.grid, opt.format,
@@ -938,7 +892,6 @@ cmdServe(const Options &opt)
     sopt.socketPath = opt.socket;
     sopt.jobs = engineJobs(opt);
     sopt.queueDepth = opt.queueDepth;
-    sopt.traceDir = opt.ifGiven(&Options::traceDir);
     sopt.cacheDir = opt.ifGiven(&Options::cacheDir);
     sopt.deadlineSec = opt.deadlineSec;
     sopt.listenTcp = opt.listenTcp;
